@@ -25,7 +25,7 @@ from .decoder import (
     decode_careless,
     decoder_grid,
 )
-from .encoder import EncoderParams, EncoderSpace, PredictedLabels, encode, encoder_grid, fit_encoder
+from .encoder import EncoderParams, EncoderSpace, encode, encoder_grid, fit_encoder
 from .inferrer import (
     Architecture,
     InferrerParams,
@@ -58,7 +58,6 @@ __all__ = [
     "LoopResult",
     "Matching",
     "PointSet",
-    "PredictedLabels",
     "Sample",
     "SynthConfig",
     "TargetMap",

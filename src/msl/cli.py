@@ -59,61 +59,69 @@ class ExperimentConfig:
         return derive_seed(self.master_seed, _SPLIT_STREAM)
 
 
-def _require(section: dict, key: str, where: str = ""):
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+def _require(section: dict, key: str, where: str, kind):
+    """section[key] converted by `kind`; a missing or unconvertible value is
+    a ConfigError naming the field."""
     if not isinstance(section, dict) or key not in section:
         raise ConfigError(f"missing required field '{where}{key}'")
-    return section[key]
+    try:
+        return kind(section[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"field '{where}{key}' has an invalid value {section[key]!r}")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    master_seed = int(_require(raw, "seed"))
-    out_dir = str(_require(raw, "out_dir"))
+    master_seed = _require(raw, "seed", "", int)
+    out_dir = _require(raw, "out_dir", "", str)
 
-    s = _require(raw, "synth")
+    s = _require(raw, "synth", "", dict)
     synth = SynthConfig(
-        width=int(_require(s, "width", "synth.")),
-        height=int(_require(s, "height", "synth.")),
-        blob_count_min=int(_require(s, "blob_count_min", "synth.")),
-        blob_count_max=int(_require(s, "blob_count_max", "synth.")),
-        blob_amplitude=float(_require(s, "blob_amplitude", "synth.")),
-        blob_radius=float(_require(s, "blob_radius", "synth.")),
-        min_separation=float(_require(s, "min_separation", "synth.")),
-        noise_std=float(_require(s, "noise_std", "synth.")),
+        width=_require(s, "width", "synth.", int),
+        height=_require(s, "height", "synth.", int),
+        blob_count_min=_require(s, "blob_count_min", "synth.", int),
+        blob_count_max=_require(s, "blob_count_max", "synth.", int),
+        blob_amplitude=_require(s, "blob_amplitude", "synth.", float),
+        blob_radius=_require(s, "blob_radius", "synth.", float),
+        min_separation=_require(s, "min_separation", "synth.", float),
+        noise_std=_require(s, "noise_std", "synth.", float),
         seed=derive_seed(master_seed, _SYNTH_STREAM),
     )
-    n = int(_require(s, "n", "synth."))
-    fractions = _require(s, "fractions", "synth.")
-    if not isinstance(fractions, (list, tuple)) or len(fractions) != 3:
+    n = _require(s, "n", "synth.", int)
+    fractions = tuple(_require(s, "fractions", "synth.", _floats))
+    if len(fractions) != 3:
         raise ConfigError("'synth.fractions' must be [train, val, test]")
-    fractions = tuple(float(f) for f in fractions)
 
-    d = _require(raw, "decoder")
+    d = _require(raw, "decoder", "", dict)
     decoder_space = decoder_grid(
-        [float(x) for x in _require(d, "sigmas", "decoder.")],
-        float(_require(d, "radius_multiplier", "decoder.")),
+        _require(d, "sigmas", "decoder.", _floats),
+        _require(d, "radius_multiplier", "decoder.", float),
         include_careless=bool(d.get("include_careless", False)),
     )
 
-    i = _require(raw, "inferrer")
+    i = _require(raw, "inferrer", "", dict)
     arch = Architecture(
-        context_radius=int(_require(i, "context_radius", "inferrer.")),
-        hidden_units=int(_require(i, "hidden_units", "inferrer.")),
+        context_radius=_require(i, "context_radius", "inferrer.", int),
+        hidden_units=_require(i, "hidden_units", "inferrer.", int),
     )
     train_cfg = TrainConfig(
-        epochs=int(_require(i, "epochs", "inferrer.")),
-        learning_rate=float(_require(i, "learning_rate", "inferrer.")),
-        batch_pixels=int(_require(i, "batch_pixels", "inferrer.")),
+        epochs=_require(i, "epochs", "inferrer.", int),
+        learning_rate=_require(i, "learning_rate", "inferrer.", float),
+        batch_pixels=_require(i, "batch_pixels", "inferrer.", int),
         seed=derive_seed(master_seed, _TRAIN_STREAM),
     )
 
-    e = _require(raw, "encoder")
+    e = _require(raw, "encoder", "", dict)
     encoder_space = encoder_grid(
-        [float(x) for x in _require(e, "thresholds", "encoder.")],
-        [float(x) for x in _require(e, "min_separations", "encoder.")],
+        _require(e, "thresholds", "encoder.", _floats),
+        _require(e, "min_separations", "encoder.", _floats),
     )
 
-    m = _require(raw, "metrics")
-    match_tolerance = float(_require(m, "match_tolerance", "metrics."))
+    m = _require(raw, "metrics", "", dict)
+    match_tolerance = _require(m, "match_tolerance", "metrics.", float)
     if match_tolerance <= 0.0:
         raise ConfigError("'metrics.match_tolerance' must be positive")
 
@@ -146,7 +154,10 @@ def _parse_decoder_flag(text: str, radius_multiplier: float) -> DecoderParams:
     if text == "careless":
         return DecoderParams.careless()
     if text.startswith("careful:"):
-        sigma = float(text.split(":", 1)[1])
+        try:
+            sigma = float(text.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"--decoder careful:SIGMA needs a number, got {text!r}")
         return DecoderParams.careful(sigma, radius_multiplier * sigma)
     raise ConfigError(f"--decoder must be 'careless' or 'careful:SIGMA', got {text!r}")
 
@@ -175,20 +186,11 @@ def _write_manifest(run_dir: Path, cfg_raw: dict, artifacts: list[str], started:
     )
 
 
-def _write_encoder_table(path: Path, table) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["threshold", "min_separation", "mean_loss"])
-        for params, mean_loss in table:
-            writer.writerow([params.threshold, params.min_separation, repr(mean_loss)])
-
-
-def _write_trace(path: Path, epoch_losses) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for i, value in enumerate(epoch_losses):
-            writer.writerow([i, repr(float(value))])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _solution_artifacts(directory: Path, cfg: ExperimentConfig, solution: LearnedSolution) -> list[str]:
@@ -196,8 +198,16 @@ def _solution_artifacts(directory: Path, cfg: ExperimentConfig, solution: Learne
     directory.mkdir(parents=True, exist_ok=True)
     save_model(directory, cfg.arch, cfg.train_cfg, solution.inferrer_params)
     write_json(directory / "encoder_params.json", solution.encoder_params.to_json_dict())
-    _write_encoder_table(directory / "encoder_table.csv", solution.encoder_table)
-    _write_trace(directory / "trace.csv", solution.epoch_losses)
+    _write_csv(
+        directory / "encoder_table.csv",
+        ["threshold", "min_separation", "mean_loss"],
+        ([p.threshold, p.min_separation, repr(loss)] for p, loss in solution.encoder_table),
+    )
+    _write_csv(
+        directory / "trace.csv",
+        ["epoch", "mean_loss"],
+        ([i, repr(float(value))] for i, value in enumerate(solution.epoch_losses)),
+    )
     write_json(directory / "validation_report.json", solution.validation_report.to_json_dict())
     return ["model.json", "model.msl1", "encoder_params.json", "encoder_table.csv", "trace.csv", "validation_report.json"]
 
@@ -217,15 +227,14 @@ def cmd_learn(args) -> int:
     started = time.perf_counter()
     cfg = load_config(Path(args.config))
     data_dir = Path(args.data) if args.data else Path(cfg.out_dir) / "dataset"
-    run_dir = Path(args.out) if args.out else Path(cfg.out_dir) / "learn"
-    run_dir.mkdir(parents=True, exist_ok=True)
-
     if args.decoder:
         decoder_params = _parse_decoder_flag(
             args.decoder, float(cfg.raw["decoder"]["radius_multiplier"])
         )
     else:
         decoder_params = cfg.decoder_space.candidates[0]
+    run_dir = Path(args.out) if args.out else Path(cfg.out_dir) / "learn"
+    run_dir.mkdir(parents=True, exist_ok=True)
 
     train_split, val_split, _ = _load_splits(cfg, data_dir)
     log.info("learn: %s on %d train / %d val samples", decoder_params.to_json_dict(), train_split.n, val_split.n)
@@ -352,27 +361,20 @@ def cmd_test(args) -> int:
 
 
 def _report_rows(results: dict) -> list[dict]:
+    """Candidate rows, lowest validation loss first; a learn run is one candidate."""
     if results["kind"] == "learn":
-        return [
+        candidates = [
             {
                 "index": 0,
                 "decoder_params": results["decoder_params"],
                 "validation_loss": results["validation_report"]["loss"],
                 "error": None,
-                "selected": True,
             }
         ]
-    selected_index = results["selected_index"]
-    rows = [
-        {
-            "index": c["index"],
-            "decoder_params": c["decoder_params"],
-            "validation_loss": c["validation_loss"],
-            "error": c["error"],
-            "selected": c["index"] == selected_index,
-        }
-        for c in results["candidates"]
-    ]
+        selected_index = 0
+    else:
+        candidates, selected_index = results["candidates"], results["selected_index"]
+    rows = [dict(c, selected=c["index"] == selected_index) for c in candidates]
     rows.sort(key=lambda r: (r["validation_loss"] is None, r["validation_loss"], r["index"]))
     return rows
 
@@ -400,21 +402,21 @@ def cmd_report(args) -> int:
         )
 
     csv_path = run_dir / "report.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "sigma", "radius", "validation_loss", "selected", "error"])
-        for row in rows:
-            params = row["decoder_params"]
-            writer.writerow(
-                [
-                    params["variant"],
-                    params.get("sigma", ""),
-                    params.get("radius", ""),
-                    "" if row["validation_loss"] is None else repr(row["validation_loss"]),
-                    int(row["selected"]),
-                    row["error"] or "",
-                ]
-            )
+    _write_csv(
+        csv_path,
+        ["variant", "sigma", "radius", "validation_loss", "selected", "error"],
+        (
+            [
+                row["decoder_params"]["variant"],
+                row["decoder_params"].get("sigma", ""),
+                row["decoder_params"].get("radius", ""),
+                "" if row["validation_loss"] is None else repr(row["validation_loss"]),
+                int(row["selected"]),
+                row["error"] or "",
+            ]
+            for row in rows
+        ),
+    )
     print(f"report: {csv_path}")
     return 0
 

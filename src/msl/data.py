@@ -1,4 +1,5 @@
-"""Core dataset types and the seeded synthetic blob generator.
+"""Core dataset types, the shared grid and candidate-space types, and the
+seeded synthetic blob generator.
 
 A sample is a grey-value lattice plus the sub-pixel centre points of the
 intensity blobs rendered into it. Coordinates are (x, y) with x the
@@ -18,28 +19,23 @@ from .seeds import derive_seed, make_rng
 PLACEMENT_ATTEMPTS = 10_000
 
 
-def as_unit_grid(values: np.ndarray) -> np.ndarray:
-    """Validate and return a finite 2-D float64 grid with values in [0, 1]."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 2:
-        raise ValueError("grid values must be 2-D (height, width)")
-    if v.size == 0:
-        raise ValueError("grid must be non-empty")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("grid values must be finite")
-    if float(v.min()) < 0.0 or float(v.max()) > 1.0:
-        raise ValueError("grid values must lie in [0, 1]")
-    return v
-
-
 @dataclass(frozen=True, eq=False)
-class ImageLattice:
-    """W×H grid of real intensities in [0, 1]."""
+class UnitGrid:
+    """Finite, non-empty W×H grid of float64 values in [0, 1]."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", as_unit_grid(self.values))
+        v = np.asarray(self.values, dtype=np.float64)
+        if v.ndim != 2:
+            raise ValueError("grid values must be 2-D (height, width)")
+        if v.size == 0:
+            raise ValueError("grid must be non-empty")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("grid values must be finite")
+        if float(v.min()) < 0.0 or float(v.max()) > 1.0:
+            raise ValueError("grid values must lie in [0, 1]")
+        object.__setattr__(self, "values", v)
 
     @property
     def width(self) -> int:
@@ -53,6 +49,34 @@ class ImageLattice:
     def shape(self) -> tuple[int, int]:
         """(width, height)"""
         return self.width, self.height
+
+
+class ImageLattice(UnitGrid):
+    """W×H grid of real intensities in [0, 1]."""
+
+
+def grid_values(grid) -> np.ndarray:
+    """The values of a UnitGrid, or any other array-like as float64."""
+    return grid.values if isinstance(grid, UnitGrid) else np.asarray(grid, dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class CandidateSpace:
+    """Ordered, non-empty, pairwise-distinct candidate tuple for a search."""
+
+    candidates: tuple
+
+    def __post_init__(self) -> None:
+        cands = tuple(self.candidates)
+        name = type(self).__name__
+        if not cands:
+            raise ConfigError(f"{name} must be non-empty")
+        if len(set(cands)) != len(cands):
+            raise ConfigError(f"{name} candidates must be pairwise distinct")
+        object.__setattr__(self, "candidates", cands)
+
+    def __len__(self) -> int:
+        return len(self.candidates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,31 +195,32 @@ def _place_centres(cfg: SynthConfig, count: int, rng: np.random.Generator) -> np
     return np.column_stack([xs, ys]) if xs else np.empty((0, 2))
 
 
-def _render_blobs(cfg: SynthConfig, centres: np.ndarray) -> np.ndarray:
-    field = np.zeros((cfg.height, cfg.width), dtype=np.float64)
-    sigma = cfg.blob_radius / 2.0
-    cutoff = 3.0 * cfg.blob_radius
+def stamp_gaussians(field, centres, sigma: float, cutoff: float, amplitude: float, combine) -> None:
+    """Combine ``amplitude * exp(-d^2 / (2 sigma^2))``, zero beyond `cutoff`
+    of each centre, into `field` in place with the ufunc `combine`."""
+    height, width = field.shape
     for cx, cy in centres:
         x_lo = max(0, int(math.ceil(cx - cutoff)))
-        x_hi = min(cfg.width - 1, int(math.floor(cx + cutoff)))
+        x_hi = min(width - 1, int(math.floor(cx + cutoff)))
         y_lo = max(0, int(math.ceil(cy - cutoff)))
-        y_hi = min(cfg.height - 1, int(math.floor(cy + cutoff)))
+        y_hi = min(height - 1, int(math.floor(cy + cutoff)))
         if x_lo > x_hi or y_lo > y_hi:
             continue
         xs = np.arange(x_lo, x_hi + 1, dtype=np.float64)
         ys = np.arange(y_lo, y_hi + 1, dtype=np.float64)
         d2 = (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2
-        bump = cfg.blob_amplitude * np.exp(-d2 / (2.0 * sigma**2))
+        bump = amplitude * np.exp(-d2 / (2.0 * sigma**2))
         bump[d2 > cutoff**2] = 0.0
-        field[y_lo : y_hi + 1, x_lo : x_hi + 1] += bump
-    return field
+        window = field[y_lo : y_hi + 1, x_lo : x_hi + 1]
+        combine(window, bump, out=window)
 
 
 def generate_sample(cfg: SynthConfig, rng: np.random.Generator) -> Sample:
     """Render one blob image with its centre points as ground truth."""
     count = int(rng.integers(cfg.blob_count_min, cfg.blob_count_max + 1))
     centres = _place_centres(cfg, count, rng)
-    field = _render_blobs(cfg, centres)
+    field = np.zeros((cfg.height, cfg.width), dtype=np.float64)
+    stamp_gaussians(field, centres, cfg.blob_radius / 2.0, 3.0 * cfg.blob_radius, cfg.blob_amplitude, np.add)
     if cfg.noise_std > 0.0:
         field = field + rng.normal(0.0, cfg.noise_std, size=field.shape)
     np.clip(field, 0.0, 1.0, out=field)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import PointSet, as_unit_grid
+from .data import CandidateSpace, PointSet, UnitGrid, stamp_gaussians
 from .errors import ConfigError, VariantMismatchError
 
 
@@ -66,40 +66,12 @@ class DecoderParams:
         raise ConfigError(f"unknown decoder variant {variant!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class TargetMap:
+class TargetMap(UnitGrid):
     """W×H grid of learnable target values in [0, 1]."""
 
-    values: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", as_unit_grid(self.values))
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class DecoderSpace:
-    """Ordered, duplicate-free candidate list for the decoder search."""
-
-    candidates: tuple[DecoderParams, ...]
-
-    def __post_init__(self) -> None:
-        cands = tuple(self.candidates)
-        if not cands:
-            raise ConfigError("decoder space must be non-empty")
-        if len(set(cands)) != len(cands):
-            raise ConfigError("decoder space candidates must be pairwise distinct")
-        object.__setattr__(self, "candidates", cands)
-
-    def __len__(self) -> int:
-        return len(self.candidates)
+class DecoderSpace(CandidateSpace):
+    """Ordered, duplicate-free DecoderParams candidates for the decoder search."""
 
 
 # Instrumentation: counts every careless/careful decode. Lets callers prove
@@ -150,23 +122,9 @@ def decode_careful(truth: PointSet, shape: tuple[int, int], params: DecoderParam
         raise VariantMismatchError("decode_careful requires careful params")
     width, height = shape
     _check_bounds(truth, width, height)
-    sigma = float(params.sigma)
-    radius = float(params.radius)
     values = np.zeros((height, width), dtype=np.float64)
-    for qx, qy in truth.points:
-        x_lo = max(0, int(math.ceil(qx - radius)))
-        x_hi = min(width - 1, int(math.floor(qx + radius)))
-        y_lo = max(0, int(math.ceil(qy - radius)))
-        y_hi = min(height - 1, int(math.floor(qy + radius)))
-        if x_lo > x_hi or y_lo > y_hi:
-            continue
-        xs = np.arange(x_lo, x_hi + 1, dtype=np.float64)
-        ys = np.arange(y_lo, y_hi + 1, dtype=np.float64)
-        d2 = (xs[None, :] - qx) ** 2 + (ys[:, None] - qy) ** 2
-        contrib = np.exp(-d2 / (2.0 * sigma**2))
-        contrib[d2 > radius**2] = 0.0
-        window = values[y_lo : y_hi + 1, x_lo : x_hi + 1]
-        np.maximum(window, contrib, out=window)
+    # Scaling by amplitude 1.0 is exact: the map holds plain exp() values.
+    stamp_gaussians(values, truth.points, float(params.sigma), float(params.radius), 1.0, np.maximum)
     return TargetMap(values)
 
 

@@ -7,18 +7,13 @@ exhaustive search over a grid against the detection loss.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PointSet
-from .decoder import TargetMap
+from .data import CandidateSpace, PointSet, grid_values
 from .errors import ConfigError, ShapeError
 from .metrics import detection_loss
-
-# Final predicted labels; encode() keeps every point within map bounds.
-PredictedLabels = PointSet
 
 
 @dataclass(frozen=True)
@@ -40,26 +35,12 @@ class EncoderParams:
         return cls(threshold=float(obj["threshold"]), min_separation=float(obj["min_separation"]))
 
 
-@dataclass(frozen=True)
-class EncoderSpace:
-    """Ordered, duplicate-free candidate list for the encoder fit."""
-
-    candidates: tuple[EncoderParams, ...]
-
-    def __post_init__(self) -> None:
-        cands = tuple(self.candidates)
-        if not cands:
-            raise ConfigError("encoder space must be non-empty")
-        if len(set(cands)) != len(cands):
-            raise ConfigError("encoder space candidates must be pairwise distinct")
-        object.__setattr__(self, "candidates", cands)
-
-    def __len__(self) -> int:
-        return len(self.candidates)
+class EncoderSpace(CandidateSpace):
+    """Ordered, duplicate-free EncoderParams candidates for the encoder fit."""
 
 
 def _as_map(t) -> np.ndarray:
-    values = t.values if isinstance(t, TargetMap) else np.asarray(t, dtype=np.float64)
+    values = grid_values(t)
     if values.ndim != 2:
         raise ShapeError("predicted map must be 2-D")
     return values
@@ -110,13 +91,8 @@ def encode(t, params: EncoderParams) -> PointSet:
 
 
 def encoder_grid(thresholds: list[float], separations: list[float]) -> EncoderSpace:
-    """Cartesian product in (threshold-major, separation-minor) order."""
-    if not thresholds or not separations:
-        raise ConfigError("encoder grid requires thresholds and separations")
-    if len(set(thresholds)) != len(thresholds):
-        raise ConfigError("duplicate thresholds supplied to encoder grid")
-    if len(set(separations)) != len(separations):
-        raise ConfigError("duplicate separations supplied to encoder grid")
+    """Cartesian product in (threshold-major, separation-minor) order; an
+    empty or repeated factor makes the product one that EncoderSpace rejects."""
     candidates = tuple(
         EncoderParams(threshold=float(h), min_separation=float(d))
         for h in thresholds
@@ -141,16 +117,12 @@ def fit_encoder(
     if not predicted_maps:
         raise ConfigError("encoder fit requires at least one sample")
     table: list[tuple[EncoderParams, float]] = []
-    best_idx = 0
-    best_loss = math.inf
-    for idx, candidate in enumerate(space.candidates):
+    for candidate in space.candidates:
         losses = [
             detection_loss(encode(t, candidate), truth, match_tolerance)
             for t, truth in zip(predicted_maps, truths)
         ]
-        mean_loss = float(sum(losses) / len(losses))
-        table.append((candidate, mean_loss))
-        if mean_loss < best_loss:
-            best_loss = mean_loss
-            best_idx = idx
-    return space.candidates[best_idx], table
+        table.append((candidate, float(sum(losses) / len(losses))))
+    # min() returns the first of equal minima: the earliest candidate wins ties.
+    best, _ = min(table, key=lambda row: row[1])
+    return best, table

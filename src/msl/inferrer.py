@@ -2,21 +2,22 @@
 
 One hidden tanh layer shared across pixels: each pixel's prediction is
 computed from the (2c+1)x(2c+1) patch centred on it, with reflect
-padding at the borders. Trained by plain SGD on mean squared error;
-the analytic gradient is exact, so it can be checked against finite
-differences.
+padding at the borders. Inference and training take their patches from
+one reflect-padded window view. Training is plain SGD on mean squared
+error, and every step goes through `_step`, the same exact gradient
+that `gradient` returns and that is checked against finite differences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import ImageLattice
+from .data import ImageLattice, grid_values
 from .decoder import TargetMap
 from .errors import ConfigError, DivergenceError, ShapeError
 from .seeds import derive_seed, make_rng
@@ -37,12 +38,8 @@ class Architecture:
             raise ConfigError("hidden_units must be >= 1")
 
     @property
-    def patch_side(self) -> int:
-        return 2 * self.context_radius + 1
-
-    @property
     def input_dim(self) -> int:
-        return self.patch_side**2
+        return (2 * self.context_radius + 1) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +118,27 @@ def init_params(arch: Architecture, seed: int) -> InferrerParams:
     return InferrerParams(w1=w1, b1=np.zeros(arch.hidden_units), w2=w2, b2=0.0)
 
 
-def _forward(params: InferrerParams, patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hidden = np.tanh(patches @ params.w1.T + params.b1)
-    pred = hidden @ params.w2 + params.b2
+def _forward(w1, b1, w2, b2, patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    hidden = np.tanh(patches @ w1.T + b1)
+    pred = hidden @ w2 + b2
     return pred, hidden
+
+
+def _step(w1, b1, w2, b2, patches: np.ndarray, targets: np.ndarray):
+    """Minibatch mean squared error and its exact gradient.
+
+    Returns (loss, (g_w1, g_b1, g_w2, g_b2)) with the shapes of the parameters.
+    """
+    pred, hidden = _forward(w1, b1, w2, b2, patches)
+    diff = pred - targets
+    loss = float(np.mean(diff * diff))
+    residual = (2.0 / targets.shape[0]) * diff
+    d_hidden = np.outer(residual, w2) * (1.0 - hidden * hidden)
+    g_w1 = d_hidden.T @ patches
+    g_b1 = d_hidden.sum(axis=0)
+    g_w2 = hidden.T @ residual
+    g_b2 = float(residual.sum())
+    return loss, (g_w1, g_b1, g_w2, g_b2)
 
 
 def predict_pixel(params: InferrerParams, patch: np.ndarray) -> float:
@@ -132,34 +146,33 @@ def predict_pixel(params: InferrerParams, patch: np.ndarray) -> float:
     patch = np.asarray(patch, dtype=np.float64).ravel()
     if patch.shape[0] != params.input_dim:
         raise ShapeError(f"patch has {patch.shape[0]} values, architecture expects {params.input_dim}")
-    pred, _ = _forward(params, patch[None, :])
+    pred, _ = _forward(params.w1, params.b1, params.w2, params.b2, patch[None, :])
     return float(pred[0])
 
 
-def _patch_matrix(values: np.ndarray, context_radius: int) -> np.ndarray:
-    """All patches of a lattice, reflect-padded, as an (H*W, dim) matrix."""
-    side = 2 * context_radius + 1
-    padded = np.pad(values, context_radius, mode="reflect")
-    windows = sliding_window_view(padded, (side, side))
-    return windows.reshape(values.size, side * side)
+def _windows(values: np.ndarray, c: int) -> np.ndarray:
+    """Every (2c+1)x(2c+1) patch of the last two axes, reflect-padded at
+    the borders, as a view indexed [..., y, x, dy, dx]."""
+    side = 2 * c + 1
+    pad = [(0, 0)] * (values.ndim - 2) + [(c, c), (c, c)]
+    return sliding_window_view(np.pad(values, pad, mode="reflect"), (side, side), axis=(-2, -1))
 
 
 def infer(lattice, params: InferrerParams) -> np.ndarray:
     """Predicted target map for a lattice; raw values may exit [0, 1]."""
-    values = lattice.values if isinstance(lattice, ImageLattice) else np.asarray(lattice, dtype=np.float64)
+    values = grid_values(lattice)
     side = int(round(math.sqrt(params.input_dim)))
     if side * side != params.input_dim:
         raise ShapeError("parameter input dimension is not a square patch")
-    context_radius = (side - 1) // 2
-    patches = _patch_matrix(values, context_radius)
-    pred, _ = _forward(params, patches)
+    patches = _windows(values, (side - 1) // 2).reshape(values.size, params.input_dim)
+    pred, _ = _forward(params.w1, params.b1, params.w2, params.b2, patches)
     return pred.reshape(values.shape)
 
 
 def loss_i(t: np.ndarray, t_star) -> float:
     """Mean squared error between a predicted map and its target map."""
     t = np.asarray(t, dtype=np.float64)
-    star = t_star.values if isinstance(t_star, TargetMap) else np.asarray(t_star, dtype=np.float64)
+    star = grid_values(t_star)
     if t.shape != star.shape:
         raise ShapeError(f"map shapes differ: {t.shape} vs {star.shape}")
     diff = t - star
@@ -181,14 +194,8 @@ def gradient(
         raise ShapeError("minibatch must be non-empty")
     if patches.shape[1] != params.input_dim:
         raise ShapeError(f"patch dim {patches.shape[1]} does not match architecture {params.input_dim}")
-    pred, hidden = _forward(params, patches)
-    residual = (2.0 / targets.shape[0]) * (pred - targets)
-    g_b2 = float(residual.sum())
-    g_w2 = hidden.T @ residual
-    d_hidden = np.outer(residual, params.w2) * (1.0 - hidden * hidden)
-    g_w1 = d_hidden.T @ patches
-    g_b1 = d_hidden.sum(axis=0)
-    return g_w1, g_b1, g_w2, g_b2
+    _, grads = _step(params.w1, params.b1, params.w2, params.b2, patches, targets)
+    return grads
 
 
 def train(
@@ -214,13 +221,9 @@ def train(
         if lattice.values.shape != shape:
             raise ShapeError("all training lattices must share one shape")
 
-    c = arch.context_radius
     height, width = shape
-    padded = np.stack([np.pad(l.values, c, mode="reflect") for l in train_lattices])
+    windows = _windows(np.stack([l.values for l in train_lattices]), arch.context_radius)
     targets = np.stack([t.values for t in train_target_maps])
-    offsets = np.arange(arch.input_dim)
-    off_y = offsets // arch.patch_side
-    off_x = offsets % arch.patch_side
 
     params = init_params(arch, derive_seed(cfg.seed, 0))
     rng = make_rng(derive_seed(cfg.seed, 1))
@@ -239,26 +242,16 @@ def train(
                 sample_idx = rng.integers(0, n_samples, size=cfg.batch_pixels)
                 flat = rng.integers(0, pixels_per_lattice, size=cfg.batch_pixels)
                 py, px = np.divmod(flat, width)
-                patches = padded[
-                    sample_idx[:, None], py[:, None] + off_y[None, :], px[:, None] + off_x[None, :]
-                ]
-                batch_targets = targets[sample_idx, py, px]
-
-                hidden = np.tanh(patches @ w1.T + b1)
-                pred = hidden @ w2 + b2
-                diff = pred - batch_targets
-                loss = float(np.mean(diff * diff))
+                patches = windows[sample_idx, py, px].reshape(cfg.batch_pixels, arch.input_dim)
+                loss, (g_w1, g_b1, g_w2, g_b2) = _step(w1, b1, w2, b2, patches, targets[sample_idx, py, px])
                 if not math.isfinite(loss):
                     raise DivergenceError(f"non-finite training loss at step {step}")
                 step_losses[step] = loss
                 step += 1
-
-                residual = (2.0 / cfg.batch_pixels) * diff
-                d_hidden = np.outer(residual, w2) * (1.0 - hidden * hidden)
-                b2 -= cfg.learning_rate * float(residual.sum())
-                w2 -= cfg.learning_rate * (hidden.T @ residual)
-                w1 -= cfg.learning_rate * (d_hidden.T @ patches)
-                b1 -= cfg.learning_rate * d_hidden.sum(axis=0)
+                w1 -= cfg.learning_rate * g_w1
+                b1 -= cfg.learning_rate * g_b1
+                w2 -= cfg.learning_rate * g_w2
+                b2 -= cfg.learning_rate * g_b2
 
     epoch_losses = step_losses.reshape(cfg.epochs, steps_per_epoch).mean(axis=1)
     return TrainResult(
@@ -275,17 +268,7 @@ def save_model(directory: Path, arch: Architecture, cfg: TrainConfig, params: In
     carries the total parameter count as width and 1 as height.
     """
     directory = Path(directory)
-    meta = {
-        "architecture": {"context_radius": arch.context_radius, "hidden_units": arch.hidden_units},
-        "train_config": {
-            "epochs": cfg.epochs,
-            "learning_rate": cfg.learning_rate,
-            "batch_pixels": cfg.batch_pixels,
-            "seed": cfg.seed,
-        },
-        "seed": cfg.seed,
-    }
-    write_json(directory / "model.json", meta)
+    write_json(directory / "model.json", {"architecture": asdict(arch), "train_config": asdict(cfg)})
     flat = np.concatenate([params.w1.ravel(), params.b1, params.w2, [params.b2]])
     write_msl1(directory / "model.msl1", flat[None, :])
 

@@ -8,7 +8,7 @@ samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .data import PointSet
 from .errors import ShapeError
@@ -36,16 +36,7 @@ class DetectionReport:
     tau: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "loss": self.loss,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tau": self.tau,
-        }
+        return asdict(self)
 
 
 def match(g: PointSet, g_star: PointSet, tau: float) -> Matching:

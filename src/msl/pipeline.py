@@ -97,21 +97,16 @@ def _evaluate_candidate(args) -> LoopEntry:
     (index, candidate, train_split, val_split, arch, base_cfg, encoder_space, tolerance) = args
     cfg = replace(base_cfg, seed=derive_seed(base_cfg.seed, index))
     start = time.perf_counter()
+    solution, error = None, None
     try:
         solution = learn(train_split, val_split, candidate, arch, cfg, encoder_space, tolerance)
     except DivergenceError as exc:
-        return LoopEntry(
-            decoder_params=candidate,
-            validation_loss=None,
-            solution=None,
-            error=str(exc),
-            seconds=time.perf_counter() - start,
-        )
+        error = str(exc)
     return LoopEntry(
         decoder_params=candidate,
-        validation_loss=solution.validation_report.loss,
+        validation_loss=None if solution is None else solution.validation_report.loss,
         solution=solution,
-        error=None,
+        error=error,
         seconds=time.perf_counter() - start,
     )
 
@@ -142,16 +137,11 @@ def loop(
     else:
         entries = tuple(_evaluate_candidate(job) for job in jobs)
 
-    selected_index = -1
-    best_loss = float("inf")
-    for i, entry in enumerate(entries):
-        if entry.failed or entry.validation_loss is None:
-            continue
-        if entry.validation_loss < best_loss:
-            best_loss = entry.validation_loss
-            selected_index = i
-    if selected_index < 0:
+    ok = [i for i, entry in enumerate(entries) if not entry.failed]
+    if not ok:
         raise LoopFailureError("every decoder candidate failed")
+    # min() returns the first of equal minima: the earliest candidate wins ties.
+    selected_index = min(ok, key=lambda i: entries[i].validation_loss)
     return LoopResult(entries=entries, selected_index=selected_index)
 
 
@@ -170,3 +160,7 @@ def test(test_split: Dataset, solution, match_tolerance: float) -> DetectionRepo
         predictions.append(encode(predicted_map, solution.encoder_params))
         truths.append(sample.truth)
     return report(predictions, truths, match_tolerance)
+
+
+# Not a pytest test, though test modules import it under this name.
+test.__test__ = False

@@ -70,8 +70,7 @@ def save_dataset(ds: Dataset, directory: Path, seed: int, config_echo: dict) -> 
     directory.mkdir(parents=True, exist_ok=True)
     if ds.n == 0:
         raise FormatError("refusing to save an empty dataset")
-    width = ds.samples[0].lattice.width
-    height = ds.samples[0].lattice.height
+    width, height = ds.samples[0].lattice.shape
     entries = []
     for i, sample in enumerate(ds.samples):
         lattice_name, points_name = _sample_names(i)

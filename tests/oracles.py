@@ -89,6 +89,25 @@ def careful_value_reference(point, sigma: float, radius: float, pixel) -> float:
     return math.exp(-(d * d) / (2.0 * sigma * sigma))
 
 
+def blob_field_reference(centres, width: int, height: int, amplitude: float, radius: float):
+    """Noise-free blob image: per pixel, the sum over centres of
+    amplitude * exp(-d^2 / (2 (radius/2)^2)) for d <= 3*radius, clipped to [0, 1]."""
+    sigma = radius / 2.0
+    cutoff = 3.0 * radius
+    field = []
+    for y in range(height):
+        row = []
+        for x in range(width):
+            total = 0.0
+            for cx, cy in centres:
+                d = math.hypot(x - float(cx), y - float(cy))
+                if d <= cutoff:
+                    total += amplitude * math.exp(-(d * d) / (2.0 * sigma * sigma))
+            row.append(min(1.0, max(0.0, total)))
+        field.append(row)
+    return field
+
+
 def local_maxima_reference(values) -> list[tuple[int, int]]:
     """Pixels >= all in-bounds 8-neighbours, scanned with plain loops."""
     height = len(values)

@@ -38,11 +38,14 @@ class TestGen:
             assert (Path(cfg["out_dir"]) / "dataset" / entry["lattice"]).exists()
 
     def test_missing_seed_names_field(self, tmp_path, capsys):
-        cfg = small_config_dict(str(tmp_path / "exp"))
-        del cfg["seed"]
-        cfg_path = write_config(tmp_path / "config.json", cfg)
-        assert main(["gen", "--config", str(cfg_path)]) == 2
-        assert "seed" in capsys.readouterr().err
+        missing = small_config_dict(str(tmp_path / "exp"))
+        del missing["seed"]
+        not_a_number = small_config_dict(str(tmp_path / "exp"), seed="abc")
+        for i, cfg in enumerate((missing, not_a_number)):
+            cfg_path = write_config(tmp_path / f"config{i}.json", cfg)
+            assert main(["gen", "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "seed" in err
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         root, cfg_path, cfg = workspace
@@ -183,5 +186,8 @@ class TestConfigValidation:
 
     def test_unknown_decoder_flag_rejected(self, workspace, tmp_path, capsys):
         root, cfg_path, cfg = workspace
-        out = tmp_path / "nope"
-        assert main(["learn", "--config", str(cfg_path), "--out", str(out), "--decoder", "bogus"]) == 2
+        for flag in ("bogus", "careful:abc"):
+            out = tmp_path / "nope"
+            assert main(["learn", "--config", str(cfg_path), "--out", str(out), "--decoder", flag]) == 2
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()

@@ -16,6 +16,8 @@ from msl.data import (
 from msl.errors import ConfigError, PlacementError
 from msl.seeds import make_rng
 
+from oracles import blob_field_reference
+
 
 def base_config(**overrides) -> SynthConfig:
     kwargs = dict(
@@ -87,6 +89,27 @@ class TestGenerateSample:
         b = generate_sample(cfg, make_rng(99))
         assert np.array_equal(a.lattice.values, b.lattice.values)
         assert np.array_equal(a.truth.points, b.truth.points)
+
+    def test_noise_free_render_matches_blob_oracle(self):
+        # Close, wide blobs overlap, so sums above 1 exercise the clip.
+        cfg = base_config(
+            width=20,
+            height=16,
+            blob_count_min=3,
+            blob_count_max=6,
+            blob_radius=3.0,
+            min_separation=2.5,
+            noise_std=0.0,
+        )
+        clipped = False
+        for seed in range(8):
+            sample = generate_sample(cfg, make_rng(seed))
+            expected = np.array(
+                blob_field_reference(sample.truth.points, cfg.width, cfg.height, cfg.blob_amplitude, cfg.blob_radius)
+            )
+            np.testing.assert_allclose(sample.lattice.values, expected, rtol=0.0, atol=1e-12)
+            clipped |= bool((expected == 1.0).any())
+        assert clipped
 
     def test_seven_blobs_are_strict_local_maxima(self):
         # Derived check: noise-free render, exhaustive strict-maxima scan

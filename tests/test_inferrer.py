@@ -198,6 +198,15 @@ class TestGradient:
             gradient(zero_params(arch), np.zeros((0, 9)), np.zeros(0))
 
 
+def reflect(i: int, n: int) -> int:
+    """numpy's "reflect" padding index for a pad narrower than the axis."""
+    if i < 0:
+        return -i
+    if i >= n:
+        return 2 * (n - 1) - i
+    return i
+
+
 def small_training_set(n=4, width=16, height=16, seed=11):
     cfg = SynthConfig(
         width=width,
@@ -265,6 +274,46 @@ class TestTrain:
         steps_per_epoch = math.ceil(total_pixels / cfg.batch_pixels)
         assert result.step_losses.shape == (3 * steps_per_epoch,)
         assert result.epoch_losses.shape == (3,)
+
+    def test_one_step_applies_the_verified_gradient(self):
+        lattices, targets = small_training_set()
+        arch = Architecture(context_radius=2, hidden_units=5)
+        height, width = lattices[0].values.shape
+        total_pixels = len(lattices) * height * width
+        cfg = TrainConfig(epochs=1, learning_rate=0.05, batch_pixels=total_pixels + 3, seed=27)
+        result = train(lattices, targets, arch, cfg)
+        assert result.step_losses.shape == (1,)
+
+        # Rebuild the step's minibatch with explicit reflect indices.
+        rng = make_rng(derive_seed(cfg.seed, 1))
+        sample_idx = rng.integers(0, len(lattices), size=cfg.batch_pixels)
+        flat = rng.integers(0, height * width, size=cfg.batch_pixels)
+        pixels = list(zip(sample_idx, *np.divmod(flat, width)))
+        c, side = arch.context_radius, 2 * arch.context_radius + 1
+        patches = np.array(
+            [
+                [
+                    lattices[s].values[reflect(y + dy - c, height), reflect(x + dx - c, width)]
+                    for dy in range(side)
+                    for dx in range(side)
+                ]
+                for s, y, x in pixels
+            ]
+        )
+        batch_targets = np.array([targets[s].values[y, x] for s, y, x in pixels])
+
+        init = init_params(arch, derive_seed(cfg.seed, 0))
+        g_w1, g_b1, g_w2, g_b2 = gradient(init, patches, batch_targets)
+        np.testing.assert_allclose(result.params.w1, init.w1 - cfg.learning_rate * g_w1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.params.b1, init.b1 - cfg.learning_rate * g_b1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.params.w2, init.w2 - cfg.learning_rate * g_w2, rtol=0, atol=1e-12)
+        assert abs(result.params.b2 - (init.b2 - cfg.learning_rate * g_b2)) < 1e-12
+
+        errors = [
+            forward_reference(init.w1, init.b1, init.w2, init.b2, patch) - target
+            for patch, target in zip(patches, batch_targets)
+        ]
+        assert abs(result.step_losses[0] - sum(e * e for e in errors) / len(errors)) < 1e-12
 
     def test_mismatched_shapes_rejected(self):
         lattices, targets = small_training_set()
