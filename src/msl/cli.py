@@ -63,6 +63,13 @@ def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
 
+def _integer(value) -> int:
+    """int() that refuses what it would silently change: 2.7 or true."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
 def _require(section: dict, key: str, where: str, kind):
     """section[key] converted by `kind`; a missing or unconvertible value is
     a ConfigError naming the field."""
@@ -75,42 +82,45 @@ def _require(section: dict, key: str, where: str, kind):
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    master_seed = _require(raw, "seed", "", int)
+    master_seed = _require(raw, "seed", "", _integer)
     out_dir = _require(raw, "out_dir", "", str)
 
     s = _require(raw, "synth", "", dict)
     synth = SynthConfig(
-        width=_require(s, "width", "synth.", int),
-        height=_require(s, "height", "synth.", int),
-        blob_count_min=_require(s, "blob_count_min", "synth.", int),
-        blob_count_max=_require(s, "blob_count_max", "synth.", int),
+        width=_require(s, "width", "synth.", _integer),
+        height=_require(s, "height", "synth.", _integer),
+        blob_count_min=_require(s, "blob_count_min", "synth.", _integer),
+        blob_count_max=_require(s, "blob_count_max", "synth.", _integer),
         blob_amplitude=_require(s, "blob_amplitude", "synth.", float),
         blob_radius=_require(s, "blob_radius", "synth.", float),
         min_separation=_require(s, "min_separation", "synth.", float),
         noise_std=_require(s, "noise_std", "synth.", float),
         seed=derive_seed(master_seed, _SYNTH_STREAM),
     )
-    n = _require(s, "n", "synth.", int)
+    n = _require(s, "n", "synth.", _integer)
     fractions = tuple(_require(s, "fractions", "synth.", _floats))
     if len(fractions) != 3:
         raise ConfigError("'synth.fractions' must be [train, val, test]")
 
     d = _require(raw, "decoder", "", dict)
+    include_careless = d.get("include_careless", False)
+    if not isinstance(include_careless, bool):
+        raise ConfigError(f"field 'decoder.include_careless' must be true or false, got {include_careless!r}")
     decoder_space = decoder_grid(
         _require(d, "sigmas", "decoder.", _floats),
         _require(d, "radius_multiplier", "decoder.", float),
-        include_careless=bool(d.get("include_careless", False)),
+        include_careless=include_careless,
     )
 
     i = _require(raw, "inferrer", "", dict)
     arch = Architecture(
-        context_radius=_require(i, "context_radius", "inferrer.", int),
-        hidden_units=_require(i, "hidden_units", "inferrer.", int),
+        context_radius=_require(i, "context_radius", "inferrer.", _integer),
+        hidden_units=_require(i, "hidden_units", "inferrer.", _integer),
     )
     train_cfg = TrainConfig(
-        epochs=_require(i, "epochs", "inferrer.", int),
+        epochs=_require(i, "epochs", "inferrer.", _integer),
         learning_rate=_require(i, "learning_rate", "inferrer.", float),
-        batch_pixels=_require(i, "batch_pixels", "inferrer.", int),
+        batch_pixels=_require(i, "batch_pixels", "inferrer.", _integer),
         seed=derive_seed(master_seed, _TRAIN_STREAM),
     )
 

@@ -38,6 +38,8 @@ class DecoderParams:
         else:
             if self.sigma is None or self.radius is None:
                 raise ConfigError("careful decoder requires sigma and radius")
+            if not (math.isfinite(self.sigma) and math.isfinite(self.radius)):
+                raise ConfigError("sigma and radius must be finite")
             if self.sigma <= 0.0 or self.radius <= 0.0:
                 raise ConfigError("sigma and radius must be positive")
             if self.radius < self.sigma:

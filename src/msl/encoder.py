@@ -7,6 +7,7 @@ exhaustive search over a grid against the detection loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ class EncoderParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie strictly inside (0, 1)")
-        if self.min_separation < 1.0:
-            raise ConfigError("min_separation must be >= 1")
+        if not (math.isfinite(self.min_separation) and self.min_separation >= 1.0):
+            raise ConfigError("min_separation must be finite and >= 1")
 
     def to_json_dict(self) -> dict:
         return {"threshold": self.threshold, "min_separation": self.min_separation}
@@ -59,24 +60,27 @@ def _neighbour_max(values: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(shifts)
 
 
-def encode(t, params: EncoderParams) -> PointSet:
-    """Thresholded peak extraction with greedy separation suppression.
-
-    Steps: clamp the map to [0, 1]; keep pixels that are >= all 8
-    neighbours and >= threshold; order by descending value with row-major
-    index as the tie-break; greedily keep points at distance >=
-    min_separation from everything kept so far.
-    """
+def _peaks(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every peak of the clamped map as (values, xs, ys), by descending value
+    with row-major index as the tie-break; independent of EncoderParams."""
     values = np.clip(_as_map(t), 0.0, 1.0)
-    height, width = values.shape
-    is_peak = (values >= _neighbour_max(values)) & (values >= params.threshold)
-    ys, xs = np.nonzero(is_peak)
-    order = sorted(range(len(xs)), key=lambda k: (-values[ys[k], xs[k]], ys[k] * width + xs[k]))
+    ys, xs = np.nonzero(values >= _neighbour_max(values))
+    peak_values = values[ys, xs]
+    # np.nonzero lists peaks in row-major order, which a stable sort keeps for ties.
+    order = np.argsort(-peak_values, kind="stable")
+    return peak_values[order], xs[order], ys[order]
+
+
+def _select(peaks: tuple[np.ndarray, np.ndarray, np.ndarray], params: EncoderParams) -> PointSet:
+    """Greedy separation pass over the peaks at or above the threshold,
+    which are a prefix of the sorted peaks."""
+    peak_values, xs, ys = peaks
+    n = int(np.count_nonzero(peak_values >= params.threshold))
     min_sq = params.min_separation**2
     kept_x: list[float] = []
     kept_y: list[float] = []
-    for k in order:
-        x, y = float(xs[k]), float(ys[k])
+    for x, y in zip(xs[:n].tolist(), ys[:n].tolist()):
+        x, y = float(x), float(y)
         ok = True
         for kx, ky in zip(kept_x, kept_y):
             if (x - kx) ** 2 + (y - ky) ** 2 < min_sq:
@@ -88,6 +92,17 @@ def encode(t, params: EncoderParams) -> PointSet:
     if not kept_x:
         return PointSet.empty()
     return PointSet(np.column_stack([kept_x, kept_y]))
+
+
+def encode(t, params: EncoderParams) -> PointSet:
+    """Thresholded peak extraction with greedy separation suppression.
+
+    Steps: clamp the map to [0, 1]; keep pixels that are >= all 8
+    neighbours and >= threshold; order by descending value with row-major
+    index as the tie-break; greedily keep points at distance >=
+    min_separation from everything kept so far.
+    """
+    return _select(_peaks(t), params)
 
 
 def encoder_grid(thresholds: list[float], separations: list[float]) -> EncoderSpace:
@@ -116,11 +131,13 @@ def fit_encoder(
         raise ShapeError(f"{len(predicted_maps)} maps vs {len(truths)} truths")
     if not predicted_maps:
         raise ConfigError("encoder fit requires at least one sample")
+    # The peaks depend only on the map, so every candidate reuses them.
+    peaks = [_peaks(t) for t in predicted_maps]
     table: list[tuple[EncoderParams, float]] = []
     for candidate in space.candidates:
         losses = [
-            detection_loss(encode(t, candidate), truth, match_tolerance)
-            for t, truth in zip(predicted_maps, truths)
+            detection_loss(_select(p, candidate), truth, match_tolerance)
+            for p, truth in zip(peaks, truths)
         ]
         table.append((candidate, float(sum(losses) / len(losses))))
     # min() returns the first of equal minima: the earliest candidate wins ties.

@@ -11,6 +11,7 @@ that `gradient` returns and that is checked against finite differences.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -208,7 +209,9 @@ def train(
 
     An epoch is ceil(total_pixels / batch_pixels) steps. The whole run is
     a pure function of (inputs, arch, cfg): initialization and batch
-    sampling use sub-seeds of cfg.seed.
+    sampling use sub-seeds of cfg.seed. One worker thread draws and
+    gathers each step's minibatch while the previous step computes; it
+    has exited when this returns or raises.
     """
     if not train_lattices:
         raise ConfigError("training requires at least one lattice")
@@ -230,28 +233,39 @@ def train(
     n_samples = len(train_lattices)
     pixels_per_lattice = height * width
     steps_per_epoch = max(1, math.ceil(n_samples * pixels_per_lattice / cfg.batch_pixels))
+    n_steps = cfg.epochs * steps_per_epoch
+
+    def draw() -> tuple[np.ndarray, np.ndarray]:
+        # Runs on the worker thread. numpy releases the GIL while it
+        # gathers; no msl function is called, since a tracer may rebind
+        # those to single-threaded span recorders.
+        sample_idx = rng.integers(0, n_samples, size=cfg.batch_pixels)
+        flat = rng.integers(0, pixels_per_lattice, size=cfg.batch_pixels)
+        py, px = np.divmod(flat, width)
+        return windows[sample_idx, py, px], targets[sample_idx, py, px]
 
     w1, b1, w2, b2 = params.w1.copy(), params.b1.copy(), params.w2.copy(), params.b2
-    step_losses = np.empty(cfg.epochs * steps_per_epoch)
-    step = 0
-    # Divergence is detected via the finiteness check, so numpy's overflow
-    # warnings on the way there are just noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.epochs):
-            for _ in range(steps_per_epoch):
-                sample_idx = rng.integers(0, n_samples, size=cfg.batch_pixels)
-                flat = rng.integers(0, pixels_per_lattice, size=cfg.batch_pixels)
-                py, px = np.divmod(flat, width)
-                patches = windows[sample_idx, py, px].reshape(cfg.batch_pixels, arch.input_dim)
-                loss, (g_w1, g_b1, g_w2, g_b2) = _step(w1, b1, w2, b2, patches, targets[sample_idx, py, px])
-                if not math.isfinite(loss):
-                    raise DivergenceError(f"non-finite training loss at step {step}")
-                step_losses[step] = loss
-                step += 1
-                w1 -= cfg.learning_rate * g_w1
-                b1 -= cfg.learning_rate * g_b1
-                w2 -= cfg.learning_rate * g_w2
-                b2 -= cfg.learning_rate * g_b2
+    step_losses = np.empty(n_steps)
+    # Step k+1's minibatch is drawn and gathered while step k computes. A
+    # draw is submitted only after the previous one's result is read, so
+    # the rng is consumed in step order and the run stays a pure function
+    # of its inputs. Divergence is detected via the finiteness check, so
+    # numpy's overflow warnings on the way there are just noise.
+    with ThreadPoolExecutor(max_workers=1) as pool, np.errstate(over="ignore", invalid="ignore"):
+        pending = pool.submit(draw)
+        for step in range(n_steps):
+            patches, batch_targets = pending.result()
+            if step + 1 < n_steps:
+                pending = pool.submit(draw)
+            patches = patches.reshape(cfg.batch_pixels, arch.input_dim)
+            loss, (g_w1, g_b1, g_w2, g_b2) = _step(w1, b1, w2, b2, patches, batch_targets)
+            if not math.isfinite(loss):
+                raise DivergenceError(f"non-finite training loss at step {step}")
+            step_losses[step] = loss
+            w1 -= cfg.learning_rate * g_w1
+            b1 -= cfg.learning_rate * g_b1
+            w2 -= cfg.learning_rate * g_w2
+            b2 -= cfg.learning_rate * g_b2
 
     epoch_losses = step_losses.reshape(cfg.epochs, steps_per_epoch).mean(axis=1)
     return TrainResult(

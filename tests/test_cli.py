@@ -178,15 +178,26 @@ class TestConfigValidation:
         assert main(["gen", "--config", str(path)]) == 2
 
     def test_missing_nested_field_names_path(self, tmp_path, capsys):
-        cfg = small_config_dict(str(tmp_path / "exp"))
-        del cfg["inferrer"]["epochs"]
-        cfg_path = write_config(tmp_path / "config.json", cfg)
-        assert main(["gen", "--config", str(cfg_path)]) == 2
-        assert "inferrer.epochs" in capsys.readouterr().err
+        missing = small_config_dict(str(tmp_path / "exp"))
+        del missing["inferrer"]["epochs"]
+        fractional = small_config_dict(str(tmp_path / "exp"))
+        fractional["inferrer"]["epochs"] = 2.7
+        string_flag = small_config_dict(str(tmp_path / "exp"))
+        string_flag["decoder"]["include_careless"] = "false"
+        cases = (
+            (missing, "inferrer.epochs"),
+            (fractional, "inferrer.epochs"),
+            (string_flag, "decoder.include_careless"),
+        )
+        for i, (cfg, field) in enumerate(cases):
+            cfg_path = write_config(tmp_path / f"config{i}.json", cfg)
+            assert main(["gen", "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and field in err
 
     def test_unknown_decoder_flag_rejected(self, workspace, tmp_path, capsys):
         root, cfg_path, cfg = workspace
-        for flag in ("bogus", "careful:abc"):
+        for flag in ("bogus", "careful:abc", "careful:nan", "careful:inf"):
             out = tmp_path / "nope"
             assert main(["learn", "--config", str(cfg_path), "--out", str(out), "--decoder", flag]) == 2
             assert "config error" in capsys.readouterr().err

@@ -35,6 +35,11 @@ class TestParams:
         with pytest.raises(ConfigError):
             DecoderParams.careful(2.0, 1.0)
 
+    def test_careful_sigma_and_radius_must_be_finite(self):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                DecoderParams.careful(value, value)
+
     def test_json_round_trip(self):
         for params in (DecoderParams.careless(), DecoderParams.careful(2.0, 6.0)):
             assert DecoderParams.from_json_dict(params.to_json_dict()) == params

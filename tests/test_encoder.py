@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,9 @@ class TestParams:
             EncoderParams(threshold=1.0, min_separation=2.0)
 
     def test_separation_at_least_one(self):
-        with pytest.raises(ConfigError):
-            EncoderParams(threshold=0.5, min_separation=0.5)
+        for separation in (0.5, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                EncoderParams(threshold=0.5, min_separation=separation)
 
 
 class TestEncode:
@@ -162,6 +165,23 @@ class TestFit:
         assert all(best_loss <= loss for _, loss in table)
         first_argmin = min(range(len(table)), key=lambda i: (table[i][1], i))
         assert table[first_argmin][0] == best
+
+    def test_table_matches_reference_encode_on_plateaus_and_ties(self):
+        rng = np.random.default_rng(16)
+        maps = [random_map(rng, quantized=True) for _ in range(8)]
+        truths = [PointSet(rng.uniform(0, 15, size=(int(rng.integers(0, 6)), 2))) for _ in maps]
+        space = encoder_grid([0.1, 0.25, 0.5, 0.75, 0.9], [1.0, 2.0, 4.0])
+        _, table = fit_encoder(maps, truths, space, 2.0)
+        expected = []
+        for params in space.candidates:
+            losses = [
+                detection_loss(
+                    as_points(encode_reference(m.tolist(), params.threshold, params.min_separation)), t, 2.0
+                )
+                for m, t in zip(maps, truths)
+            ]
+            expected.append((params, float(sum(losses) / len(losses))))
+        assert table == expected
 
     def test_tabulated_loss_reproducible(self):
         rng = np.random.default_rng(15)

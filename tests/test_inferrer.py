@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -226,6 +228,35 @@ def small_training_set(n=4, width=16, height=16, seed=11):
     return lattices, targets
 
 
+def reflect_minibatch(rng, lattices, targets, arch: Architecture, batch_pixels: int):
+    """Draw one minibatch as train() does and gather it with explicit reflect indices."""
+    height, width = lattices[0].values.shape
+    sample_idx = rng.integers(0, len(lattices), size=batch_pixels)
+    flat = rng.integers(0, height * width, size=batch_pixels)
+    pixels = list(zip(sample_idx, *np.divmod(flat, width)))
+    c, side = arch.context_radius, 2 * arch.context_radius + 1
+    patches = np.array(
+        [
+            [
+                lattices[s].values[reflect(y + dy - c, height), reflect(x + dx - c, width)]
+                for dy in range(side)
+                for dx in range(side)
+            ]
+            for s, y, x in pixels
+        ]
+    )
+    batch_targets = np.array([targets[s].values[y, x] for s, y, x in pixels])
+    return patches, batch_targets
+
+
+def minibatch_mse_reference(params: InferrerParams, patches, batch_targets) -> float:
+    errors = [
+        forward_reference(params.w1, params.b1, params.w2, params.b2, patch) - target
+        for patch, target in zip(patches, batch_targets)
+    ]
+    return sum(e * e for e in errors) / len(errors)
+
+
 class TestTrain:
     def test_zero_learning_rate_returns_initial_params(self):
         lattices, targets = small_training_set()
@@ -244,11 +275,20 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, learning_rate=0.01, batch_pixels=128, seed=22)
         a = train(lattices, targets, arch, cfg)
         b = train(lattices, targets, arch, cfg)
-        assert np.array_equal(a.params.w1, b.params.w1)
-        assert np.array_equal(a.params.b1, b.params.b1)
-        assert np.array_equal(a.params.w2, b.params.w2)
-        assert a.params.b2 == b.params.b2
-        assert np.array_equal(a.step_losses, b.step_losses)
+        # Thread switches every microsecond interleave the minibatch gather
+        # with the step at many more points than the default 5 ms.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            c = train(lattices, targets, arch, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        for other in (b, c):
+            assert np.array_equal(a.params.w1, other.params.w1)
+            assert np.array_equal(a.params.b1, other.params.b1)
+            assert np.array_equal(a.params.w2, other.params.w2)
+            assert a.params.b2 == other.params.b2
+            assert np.array_equal(a.step_losses, other.step_losses)
 
     def test_constant_target_loss_decreases(self):
         lattices, _ = small_training_set(n=1)
@@ -284,36 +324,52 @@ class TestTrain:
         result = train(lattices, targets, arch, cfg)
         assert result.step_losses.shape == (1,)
 
-        # Rebuild the step's minibatch with explicit reflect indices.
         rng = make_rng(derive_seed(cfg.seed, 1))
-        sample_idx = rng.integers(0, len(lattices), size=cfg.batch_pixels)
-        flat = rng.integers(0, height * width, size=cfg.batch_pixels)
-        pixels = list(zip(sample_idx, *np.divmod(flat, width)))
-        c, side = arch.context_radius, 2 * arch.context_radius + 1
-        patches = np.array(
-            [
-                [
-                    lattices[s].values[reflect(y + dy - c, height), reflect(x + dx - c, width)]
-                    for dy in range(side)
-                    for dx in range(side)
-                ]
-                for s, y, x in pixels
-            ]
-        )
-        batch_targets = np.array([targets[s].values[y, x] for s, y, x in pixels])
-
+        patches, batch_targets = reflect_minibatch(rng, lattices, targets, arch, cfg.batch_pixels)
         init = init_params(arch, derive_seed(cfg.seed, 0))
         g_w1, g_b1, g_w2, g_b2 = gradient(init, patches, batch_targets)
         np.testing.assert_allclose(result.params.w1, init.w1 - cfg.learning_rate * g_w1, rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.params.b1, init.b1 - cfg.learning_rate * g_b1, rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.params.w2, init.w2 - cfg.learning_rate * g_w2, rtol=0, atol=1e-12)
         assert abs(result.params.b2 - (init.b2 - cfg.learning_rate * g_b2)) < 1e-12
+        assert abs(result.step_losses[0] - minibatch_mse_reference(init, patches, batch_targets)) < 1e-12
 
-        errors = [
-            forward_reference(init.w1, init.b1, init.w2, init.b2, patch) - target
-            for patch, target in zip(patches, batch_targets)
-        ]
-        assert abs(result.step_losses[0] - sum(e * e for e in errors) / len(errors)) < 1e-12
+    def test_steps_apply_the_verified_gradient_in_draw_order(self):
+        lattices, targets = small_training_set()
+        arch = Architecture(context_radius=2, hidden_units=5)
+        cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_pixels=300, seed=28)
+        result = train(lattices, targets, arch, cfg)
+        n_steps = 2 * math.ceil(sum(l.values.size for l in lattices) / cfg.batch_pixels)
+        assert result.step_losses.shape == (n_steps,)
+
+        # Each step draws its minibatch from the one batch stream, in step order.
+        rng = make_rng(derive_seed(cfg.seed, 1))
+        params = init_params(arch, derive_seed(cfg.seed, 0))
+        for step in range(n_steps):
+            patches, batch_targets = reflect_minibatch(rng, lattices, targets, arch, cfg.batch_pixels)
+            loss = minibatch_mse_reference(params, patches, batch_targets)
+            assert abs(result.step_losses[step] - loss) < 1e-12, step
+            g_w1, g_b1, g_w2, g_b2 = gradient(params, patches, batch_targets)
+            params = InferrerParams(
+                w1=params.w1 - cfg.learning_rate * g_w1,
+                b1=params.b1 - cfg.learning_rate * g_b1,
+                w2=params.w2 - cfg.learning_rate * g_w2,
+                b2=params.b2 - cfg.learning_rate * g_b2,
+            )
+        np.testing.assert_allclose(result.params.w1, params.w1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.params.b1, params.b1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.params.w2, params.w2, rtol=0, atol=1e-12)
+        assert abs(result.params.b2 - params.b2) < 1e-12
+
+    def test_no_thread_outlives_train(self):
+        lattices, targets = small_training_set()
+        arch = Architecture(context_radius=1, hidden_units=4)
+        before = threading.active_count()
+        train(lattices, targets, arch, TrainConfig(epochs=2, learning_rate=0.01, batch_pixels=64, seed=26))
+        assert threading.active_count() == before
+        with pytest.raises(DivergenceError):
+            train(lattices, targets, arch, TrainConfig(epochs=5, learning_rate=1e8, batch_pixels=64, seed=24))
+        assert threading.active_count() == before
 
     def test_mismatched_shapes_rejected(self):
         lattices, targets = small_training_set()
