@@ -34,8 +34,6 @@ from .inferrer import (
     gradient,
     infer,
     init_params,
-    loss_i,
-    predict_pixel,
     train,
 )
 from .metrics import DetectionReport, Matching, detection_loss, match, report
@@ -78,9 +76,7 @@ __all__ = [
     "init_params",
     "learn",
     "loop",
-    "loss_i",
     "match",
-    "predict_pixel",
     "report",
     "split",
     "test",

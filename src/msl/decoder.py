@@ -100,6 +100,13 @@ def _check_bounds(truth: PointSet, width: int, height: int) -> None:
         raise ValueError("truth points must lie within the target shape")
 
 
+def _round_half_up(value: float) -> int:
+    """Nearest integer, halves up. `value - floor(value)` is exact, where
+    floor(value + 0.5) would round 0.49999999999999994 up to 1."""
+    whole = math.floor(value)
+    return whole + (value - whole >= 0.5)
+
+
 def decode_careless(truth: PointSet, shape: tuple[int, int]) -> TargetMap:
     """Value 1 at each point's nearest pixel (round half up), 0 elsewhere."""
     _count_call()
@@ -107,8 +114,8 @@ def decode_careless(truth: PointSet, shape: tuple[int, int]) -> TargetMap:
     _check_bounds(truth, width, height)
     values = np.zeros((height, width), dtype=np.float64)
     for x, y in truth.points:
-        px = min(int(math.floor(x + 0.5)), width - 1)
-        py = min(int(math.floor(y + 0.5)), height - 1)
+        px = min(_round_half_up(x), width - 1)
+        py = min(_round_half_up(y), height - 1)
         values[py, px] = 1.0
     return TargetMap(values)
 

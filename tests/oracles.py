@@ -81,6 +81,18 @@ def fd_gradient(w1, b1, w2, b2, patches, targets, step: float = 1e-4):
     return g_w1, g_b1, g_w2, g_b2
 
 
+def careless_reference(points, width: int, height: int):
+    """Careless target grid: 1 at each point's nearest pixel, 0 elsewhere.
+    The nearest column and row are searched by distance over the whole
+    axis, the higher index winning a tie."""
+    grid = [[0.0] * width for _ in range(height)]
+    for x, y in points:
+        col = min(range(width), key=lambda c: (abs(float(x) - c), -c))
+        row = min(range(height), key=lambda r: (abs(float(y) - r), -r))
+        grid[row][col] = 1.0
+    return grid
+
+
 def careful_value_reference(point, sigma: float, radius: float, pixel) -> float:
     """Closed-form single-point truncated-Gaussian value at a pixel."""
     d = math.hypot(pixel[0] - point[0], pixel[1] - point[1])

@@ -3,10 +3,16 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from msl.cli import main
+from msl import inferrer, storage
+from msl.cli import load_config, main
+from msl.data import split
 from msl.decoder import decode_call_count, reset_decode_call_count
+from msl.encoder import EncoderParams, encode
+from msl.metrics import report
+from msl.pipeline import learn
 
 from helpers import (
     assert_dirs_identical,
@@ -69,6 +75,30 @@ class TestLearn:
         assert main(["learn", "--config", str(cfg_path), "--out", str(a)]) == 0
         assert main(["learn", "--config", str(cfg_path), "--out", str(b)]) == 0
         assert_dirs_identical(a, b)
+
+    def test_saved_model_is_the_trained_model(self, workspace, tmp_path):
+        root, cfg_path, cfg = workspace
+        out = tmp_path / "saved"
+        assert main(["learn", "--config", str(cfg_path), "--out", str(out)]) == 0
+        config = load_config(cfg_path)
+        ds, _ = storage.load_dataset(Path(cfg["out_dir"]) / "dataset")
+        train_split, val_split, _ = split(ds, config.fractions, config.split_seed)
+        trained = learn(
+            train_split, val_split, config.decoder_space.candidates[0], config.arch,
+            config.train_cfg, config.encoder_space, config.match_tolerance,
+        ).inferrer_params
+        _, _, loaded = inferrer.load_model(out)
+        for a, b in ((loaded.w1, trained.w1), (loaded.b1, trained.b1), (loaded.w2, trained.w2)):
+            assert a.dtype == b.dtype == np.float32
+            np.testing.assert_array_equal(a, b)
+        assert loaded.b2 == trained.b2
+
+        # The reloaded run reproduces the validation report it stores.
+        encoder_params = EncoderParams.from_json_dict(json.loads((out / "encoder_params.json").read_text()))
+        predictions = [encode(inferrer.infer(s.lattice, loaded), encoder_params) for s in val_split.samples]
+        again = report(predictions, [s.truth for s in val_split.samples], config.match_tolerance)
+        stored = json.loads((out / "validation_report.json").read_text())
+        assert json.loads(json.dumps(again.to_json_dict())) == stored
 
     def test_sigma_override_echoed(self, workspace, tmp_path):
         root, cfg_path, cfg = workspace

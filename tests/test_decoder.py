@@ -19,7 +19,7 @@ from msl.decoder import (
 )
 from msl.errors import ConfigError, VariantMismatchError
 
-from oracles import careful_value_reference
+from oracles import careful_value_reference, careless_reference
 
 
 def points(*pairs) -> PointSet:
@@ -63,6 +63,31 @@ class TestCareless:
     def test_round_half_up(self):
         out = decode_careless(points((1.5, 2.5)), (5, 5))
         assert out.values[3, 2] == 1.0
+
+    def test_random_probes_match_reference(self):
+        rng = np.random.default_rng(31)
+
+        def coordinate(size: int) -> float:
+            kind = int(rng.integers(5))
+            if kind == 0:  # a tie: k + 0.5, the right or bottom edge's included
+                return int(rng.integers(size)) + 0.5
+            if kind == 1:  # just below a tie
+                return float(np.nextafter(int(rng.integers(size)) + 0.5, -np.inf))
+            if kind == 2:  # the last half pixel before the right or bottom edge
+                return float(rng.uniform(size - 0.5, size))
+            if kind == 3:
+                return float(np.nextafter(size, 0.0))
+            return float(rng.uniform(0.0, size))
+
+        edges = ties = 0
+        for _ in range(2000):
+            width, height = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            pairs = [(coordinate(width), coordinate(height)) for _ in range(int(rng.integers(0, 5)))]
+            out = decode_careless(points(*pairs), (width, height))
+            assert out.values.tolist() == careless_reference(pairs, width, height), pairs
+            edges += sum(x >= width - 0.5 or y >= height - 0.5 for x, y in pairs)
+            ties += sum(x % 1 == 0.5 or y % 1 == 0.5 for x, y in pairs)
+        assert edges > 500 and ties > 500
 
 
 class TestCareful:

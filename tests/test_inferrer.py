@@ -12,15 +12,15 @@ from msl.inferrer import (
     Architecture,
     InferrerParams,
     TrainConfig,
+    _step,
     gradient,
     infer,
     init_params,
     load_model,
-    loss_i,
-    predict_pixel,
     save_model,
     train,
 )
+from msl import inferrer
 from msl.seeds import derive_seed, make_rng
 
 from oracles import fd_gradient, forward_reference, mse_reference
@@ -69,16 +69,17 @@ class TestInit:
 
 
 class TestPredictPixel:
+    """One pixel's output, read from `infer` at the centre of a patch-sized lattice."""
+
     def test_zero_params_zero_output(self):
         arch = Architecture(context_radius=1, hidden_units=4)
-        assert predict_pixel(zero_params(arch), np.ones(9)) == 0.0
+        assert infer(np.ones((3, 3)), zero_params(arch))[1, 1] == 0.0
 
     def test_bias_only_output(self):
-        arch = Architecture(context_radius=1, hidden_units=4)
         params = InferrerParams(
             w1=np.zeros((4, 9)), b1=np.zeros(4), w2=np.zeros(4), b2=0.7
         )
-        assert predict_pixel(params, np.zeros(9)) == 0.7
+        assert infer(np.zeros((3, 3)), params)[1, 1] == 0.7
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(4)
@@ -88,13 +89,15 @@ class TestPredictPixel:
             )
             params = random_params(arch, rng)
             patch = rng.uniform(-1, 1, size=arch.input_dim)
+            side, c = 2 * arch.context_radius + 1, arch.context_radius
             expected = forward_reference(params.w1, params.b1, params.w2, params.b2, patch)
-            assert abs(predict_pixel(params, patch) - expected) < 1e-12
+            assert abs(infer(patch.reshape(side, side), params)[c, c] - expected) < 1e-12
 
     def test_shape_mismatch_rejected(self):
-        arch = Architecture(context_radius=1, hidden_units=4)
+        # 8 inputs per hidden unit is no square patch.
+        params = InferrerParams(w1=np.zeros((4, 8)), b1=np.zeros(4), w2=np.zeros(4), b2=0.0)
         with pytest.raises(ShapeError):
-            predict_pixel(zero_params(arch), np.ones(8))
+            infer(np.ones((3, 3)), params)
 
 
 class TestInfer:
@@ -117,7 +120,8 @@ class TestInfer:
         params = random_params(arch, rng)
         out = infer(ImageLattice(values), params)
         patch = values[1:6, 2:7].ravel()  # centred at (x=4, y=3), fully interior
-        assert abs(out[3, 4] - predict_pixel(params, patch)) < 1e-12
+        expected = forward_reference(params.w1, params.b1, params.w2, params.b2, patch)
+        assert abs(out[3, 4] - expected) < 1e-12
 
     def test_border_uses_reflect_padding(self):
         rng = np.random.default_rng(3)
@@ -127,28 +131,56 @@ class TestInfer:
         out = infer(ImageLattice(values), params)
         padded = np.pad(values, 1, mode="reflect")
         patch = padded[0:3, 0:3].ravel()  # corner pixel (0, 0)
-        assert abs(out[0, 0] - predict_pixel(params, patch)) < 1e-12
+        expected = forward_reference(params.w1, params.b1, params.w2, params.b2, patch)
+        assert abs(out[0, 0] - expected) < 1e-12
+
+
+def map_loss(params: InferrerParams, values, target) -> float:
+    """The training loss (`_step`'s) over every pixel of one lattice."""
+    c = int(round(math.sqrt(params.input_dim))) // 2
+    height, width = values.shape
+    patches = np.array(
+        [
+            [values[reflect(y + dy, height), reflect(x + dx, width)] for dy in range(-c, c + 1) for dx in range(-c, c + 1)]
+            for y in range(height)
+            for x in range(width)
+        ]
+    )
+    loss, _ = _step(params.w1, params.b1, params.w2, params.b2, patches, np.asarray(target).ravel())
+    return loss
 
 
 class TestLoss:
+    """The training loss is the mean squared error between the predicted
+    map and the target map."""
+
     def test_identical_maps(self):
         values = np.random.default_rng(0).uniform(0, 1, size=(4, 4))
-        assert loss_i(values, values) == 0.0
+        arch = Architecture(context_radius=1, hidden_units=3)
+        assert map_loss(zero_params(arch), values, np.zeros((4, 4))) == 0.0
+        constant = InferrerParams(w1=np.zeros((3, 9)), b1=np.zeros(3), w2=np.zeros(3), b2=0.25)
+        assert map_loss(constant, values, np.full((4, 4), 0.25)) == 0.0
 
     def test_constant_offset(self):
-        a = np.zeros((4, 4))
-        b = np.full((4, 4), 0.5)
-        assert loss_i(a, b) == 0.25
+        values = np.random.default_rng(1).uniform(0, 1, size=(4, 4))
+        arch = Architecture(context_radius=1, hidden_units=3)
+        assert map_loss(zero_params(arch), values, np.full((4, 4), 0.5)) == 0.25
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(5)
-        a = rng.uniform(-1, 2, size=(6, 5))
-        b = rng.uniform(0, 1, size=(6, 5))
-        assert abs(loss_i(a, b) - mse_reference(a, b)) < 1e-12
+        values = rng.uniform(0, 1, size=(6, 5))
+        arch = Architecture(context_radius=1, hidden_units=4)
+        params = random_params(arch, rng)
+        target = rng.uniform(0, 1, size=(6, 5))
+        predicted = infer(ImageLattice(values), params)
+        assert abs(map_loss(params, values, target) - mse_reference(predicted, target)) < 1e-12
 
     def test_shape_mismatch(self):
+        lattice = ImageLattice(np.zeros((3, 3)))
         with pytest.raises(ShapeError):
-            loss_i(np.zeros((3, 3)), np.zeros((3, 4)))
+            train([lattice], [TargetMap(np.zeros((3, 4)))], Architecture(1, 4), TrainConfig(1, 0.01, 64, 1))
+        with pytest.raises(ShapeError):
+            gradient(zero_params(Architecture(1, 4)), np.zeros((3, 9)), np.zeros(4))
 
 
 class TestGradient:
@@ -257,6 +289,41 @@ def minibatch_mse_reference(params: InferrerParams, patches, batch_targets) -> f
     return sum(e * e for e in errors) / len(errors)
 
 
+def float32_loss_tolerance(arch: Architecture, batch_pixels: int, loss: float) -> float:
+    """How far a float32 step loss may lie from the float64 loss of the
+    same float32 inputs and weights.
+
+    Each float32 operation errs by at most u = 2**-24, relative. A
+    prediction takes about D + H + 3 roundings (dot products of D and H
+    terms, tanh and two bias adds); squaring the difference to the target
+    doubles that, and the mean's pairwise sum adds about log2(batch).
+    The factor 4 covers cancellation in prediction - target, whose size
+    the loss itself does not show.
+    """
+    roundings = 2 * (arch.input_dim + arch.hidden_units + 3) + math.ceil(math.log2(batch_pixels))
+    return 4 * roundings * 2.0**-24 * loss
+
+
+def float32_update(params: InferrerParams, learning_rate: float, grads) -> InferrerParams:
+    """One SGD update with float32 parameters, learning rate and gradients."""
+    lr = np.float32(learning_rate)
+    g_w1, g_b1, g_w2, g_b2 = grads
+    return InferrerParams(
+        w1=params.w1 - lr * g_w1,
+        b1=params.b1 - lr * g_b1,
+        w2=params.w2 - lr * g_w2,
+        b2=params.b2 - lr * g_b2,
+    )
+
+
+def assert_params_equal(a: InferrerParams, b: InferrerParams) -> None:
+    """Same dtype and the same bits, parameter by parameter."""
+    for x, y in ((a.w1, b.w1), (a.b1, b.b1), (a.w2, b.w2)):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+    assert type(a.b2) is type(b.b2) and a.b2 == b.b2
+
+
 class TestTrain:
     def test_zero_learning_rate_returns_initial_params(self):
         lattices, targets = small_training_set()
@@ -324,20 +391,30 @@ class TestTrain:
         result = train(lattices, targets, arch, cfg)
         assert result.step_losses.shape == (1,)
 
+        # train() rounds lattices and targets to float32 and steps in float32.
         rng = make_rng(derive_seed(cfg.seed, 1))
         patches, batch_targets = reflect_minibatch(rng, lattices, targets, arch, cfg.batch_pixels)
+        patches, batch_targets = patches.astype(np.float32), batch_targets.astype(np.float32)
         init = init_params(arch, derive_seed(cfg.seed, 0))
-        g_w1, g_b1, g_w2, g_b2 = gradient(init, patches, batch_targets)
-        np.testing.assert_allclose(result.params.w1, init.w1 - cfg.learning_rate * g_w1, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(result.params.b1, init.b1 - cfg.learning_rate * g_b1, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(result.params.w2, init.w2 - cfg.learning_rate * g_w2, rtol=0, atol=1e-12)
-        assert abs(result.params.b2 - (init.b2 - cfg.learning_rate * g_b2)) < 1e-12
-        assert abs(result.step_losses[0] - minibatch_mse_reference(init, patches, batch_targets)) < 1e-12
+        expected = float32_update(init, cfg.learning_rate, gradient(init, patches, batch_targets))
+        assert_params_equal(result.params, expected)
+        loss = minibatch_mse_reference(init, patches, batch_targets)
+        assert abs(result.step_losses[0] - loss) <= float32_loss_tolerance(arch, cfg.batch_pixels, loss)
 
     def test_steps_apply_the_verified_gradient_in_draw_order(self):
+        self.assert_steps_replay(batch_pixels=300)
+
+    def test_draw_order_holds_across_prefetch_hand_offs(self, monkeypatch):
+        # 2 epochs of 11 steps of 100 float32 patches of 25 values and their
+        # targets: hand-offs of 8, 8 and 6 minibatches.
+        monkeypatch.setattr(inferrer, "_PREFETCH_BYTES", 8 * 100 * 26 * 4 + 1)
+        self.assert_steps_replay(batch_pixels=100)
+
+    @staticmethod
+    def assert_steps_replay(batch_pixels):
         lattices, targets = small_training_set()
         arch = Architecture(context_radius=2, hidden_units=5)
-        cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_pixels=300, seed=28)
+        cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_pixels=batch_pixels, seed=28)
         result = train(lattices, targets, arch, cfg)
         n_steps = 2 * math.ceil(sum(l.values.size for l in lattices) / cfg.batch_pixels)
         assert result.step_losses.shape == (n_steps,)
@@ -347,19 +424,32 @@ class TestTrain:
         params = init_params(arch, derive_seed(cfg.seed, 0))
         for step in range(n_steps):
             patches, batch_targets = reflect_minibatch(rng, lattices, targets, arch, cfg.batch_pixels)
+            patches, batch_targets = patches.astype(np.float32), batch_targets.astype(np.float32)
             loss = minibatch_mse_reference(params, patches, batch_targets)
-            assert abs(result.step_losses[step] - loss) < 1e-12, step
-            g_w1, g_b1, g_w2, g_b2 = gradient(params, patches, batch_targets)
-            params = InferrerParams(
-                w1=params.w1 - cfg.learning_rate * g_w1,
-                b1=params.b1 - cfg.learning_rate * g_b1,
-                w2=params.w2 - cfg.learning_rate * g_w2,
-                b2=params.b2 - cfg.learning_rate * g_b2,
-            )
-        np.testing.assert_allclose(result.params.w1, params.w1, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(result.params.b1, params.b1, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(result.params.w2, params.w2, rtol=0, atol=1e-12)
-        assert abs(result.params.b2 - params.b2) < 1e-12
+            tolerance = float32_loss_tolerance(arch, cfg.batch_pixels, loss)
+            assert abs(result.step_losses[step] - loss) <= tolerance, step
+            params = float32_update(params, cfg.learning_rate, gradient(params, patches, batch_targets))
+        assert_params_equal(result.params, params)
+
+    def test_trains_in_float32_and_infers_in_float64(self):
+        lattices, targets = small_training_set()
+        arch = Architecture(context_radius=1, hidden_units=4)
+        result = train(lattices, targets, arch, TrainConfig(epochs=1, learning_rate=0.01, batch_pixels=64, seed=29))
+        params = result.params
+        assert params.w1.dtype == params.b1.dtype == params.w2.dtype == np.float32
+        assert type(params.b2) is np.float32
+        assert init_params(arch, 1).w1.dtype == np.float32
+        assert result.step_losses.dtype == np.float64
+        # infer upcasts the float32 weights and keeps the lattice as given.
+        wide = InferrerParams(
+            w1=params.w1.astype(np.float64),
+            b1=params.b1.astype(np.float64),
+            w2=params.w2.astype(np.float64),
+            b2=float(params.b2),
+        )
+        out = infer(lattices[0], params)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, infer(lattices[0], wide))
 
     def test_no_thread_outlives_train(self):
         lattices, targets = small_training_set()
