@@ -37,7 +37,7 @@ from .inferrer import (
     train,
 )
 from .metrics import DetectionReport, Matching, detection_loss, match, report
-from .pipeline import LearnedSolution, LoopEntry, LoopResult, learn, loop, test
+from .pipeline import LearnedSolution, LoopEntry, LoopResult, Predictor, learn, loop, test
 
 __all__ = [
     "__version__",
@@ -56,6 +56,7 @@ __all__ = [
     "LoopResult",
     "Matching",
     "PointSet",
+    "Predictor",
     "Sample",
     "SynthConfig",
     "TargetMap",

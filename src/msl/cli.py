@@ -27,8 +27,7 @@ from .decoder import DecoderParams, DecoderSpace, decoder_grid
 from .encoder import EncoderParams, EncoderSpace, encoder_grid
 from .errors import ConfigError, MissingArtifactError
 from .inferrer import Architecture, TrainConfig, load_model, save_model
-from .metrics import DetectionReport
-from .pipeline import LearnedSolution, LoopResult, learn, loop, test
+from .pipeline import LearnedSolution, Predictor, learn, loop, test
 from .seeds import derive_seed
 from .storage import load_dataset, read_json, save_dataset, write_json
 
@@ -325,43 +324,31 @@ def cmd_loop(args) -> int:
     return 0
 
 
-def _solution_dir_of_run(run_dir: Path, results: dict) -> Path:
-    if results["kind"] == "learn":
-        return run_dir
-    selected = results["selected"]["dir"]
-    return run_dir / selected
+def _read_results(run_dir: Path) -> dict:
+    """results.json of a finished run: one whose manifest.json, written
+    last, exists."""
+    for name in ("results.json", "manifest.json"):
+        if not (run_dir / name).exists():
+            raise MissingArtifactError(f"run directory has no {name}: {run_dir}")
+    return read_json(run_dir / "results.json")
 
 
 def cmd_test(args) -> int:
     run_dir = Path(args.run)
-    results_path = run_dir / "results.json"
-    if not results_path.exists():
-        raise MissingArtifactError(f"run directory has no results.json: {run_dir}")
-    results = read_json(results_path)
+    results = _read_results(run_dir)
     cfg = parse_config(results["config"])
 
-    sol_dir = _solution_dir_of_run(run_dir, results)
+    sol_dir = run_dir if results["kind"] == "learn" else run_dir / results["selected"]["dir"]
     for name in ("model.json", "model.msl1", "encoder_params.json"):
         if not (sol_dir / name).exists():
             raise MissingArtifactError(f"missing artifact: {sol_dir / name}")
-    _, _, inferrer_params = load_model(sol_dir)
-    encoder_params = EncoderParams.from_json_dict(read_json(sol_dir / "encoder_params.json"))
-    decoder_params = DecoderParams.from_json_dict(
-        results["decoder_params"] if results["kind"] == "learn" else results["selected"]["decoder_params"]
+    predictor = Predictor(
+        load_model(sol_dir)[2], EncoderParams.from_json_dict(read_json(sol_dir / "encoder_params.json"))
     )
 
     data_dir = Path(args.data) if args.data else Path(cfg.out_dir) / "dataset"
     _, _, test_split = _load_splits(cfg, data_dir)
-    solution = LearnedSolution(
-        decoder_params=decoder_params,
-        inferrer_params=inferrer_params,
-        encoder_params=encoder_params,
-        step_losses=np.empty(0),
-        epoch_losses=np.empty(0),
-        encoder_table=(),
-        validation_report=DetectionReport(0.0, 0.0, 0.0, 1.0, 0, 0, 0, cfg.match_tolerance),
-    )
-    test_report = test(test_split, solution, cfg.match_tolerance)
+    test_report = test(test_split, predictor, cfg.match_tolerance)
     write_json(run_dir / "test_report.json", test_report.to_json_dict())
     print(
         f"test: f1 {test_report.f1:.4f} precision {test_report.precision:.4f} "
@@ -391,11 +378,7 @@ def _report_rows(results: dict) -> list[dict]:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
-    results_path = run_dir / "results.json"
-    if not results_path.exists():
-        raise MissingArtifactError(f"run directory has no results.json: {run_dir}")
-    results = read_json(results_path)
-    rows = _report_rows(results)
+    rows = _report_rows(_read_results(run_dir))
 
     print(f"{'sel':>3} {'variant':>9} {'sigma':>6} {'radius':>6} {'val_loss':>10}")
     for row in rows:

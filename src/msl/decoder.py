@@ -58,15 +58,6 @@ class DecoderParams:
             return {"variant": "careless"}
         return {"variant": "careful", "sigma": self.sigma, "radius": self.radius}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "DecoderParams":
-        variant = obj.get("variant")
-        if variant == "careless":
-            return cls.careless()
-        if variant == "careful":
-            return cls.careful(float(obj["sigma"]), float(obj["radius"]))
-        raise ConfigError(f"unknown decoder variant {variant!r}")
-
 
 class TargetMap(UnitGrid):
     """W×H grid of learnable target values in [0, 1]."""

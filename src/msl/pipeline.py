@@ -3,8 +3,8 @@
 learn: decode train targets under fixed decoder params, train the
 inferrer on them, then fit the encoder on the validation split's
 predicted maps. loop: restart learn for every decoder candidate and keep
-the one with the lowest validation detection loss. test: run inferrer
-and encoder only; ground truth and decoder are never touched.
+the one with the lowest validation detection loss. test: run a Predictor
+(inferrer, then encoder) only; ground truth and decoder are never touched.
 """
 
 from __future__ import annotations
@@ -25,12 +25,18 @@ from .seeds import derive_seed
 
 
 @dataclass(frozen=True, eq=False)
-class LearnedSolution:
+class Predictor:
+    """What a solution needs at test time: the inferrer, then the encoder."""
+
+    inferrer_params: InferrerParams
+    encoder_params: EncoderParams
+
+
+@dataclass(frozen=True, eq=False)
+class LearnedSolution(Predictor):
     """Everything produced by one learning run under fixed decoder params."""
 
     decoder_params: DecoderParams
-    inferrer_params: InferrerParams
-    encoder_params: EncoderParams
     step_losses: np.ndarray
     epoch_losses: np.ndarray
     encoder_table: tuple[tuple[EncoderParams, float], ...]
@@ -145,19 +151,19 @@ def loop(
     return LoopResult(entries=entries, selected_index=selected_index)
 
 
-def test(test_split: Dataset, solution, match_tolerance: float) -> DetectionReport:
-    """Evaluate the learned inferrer+encoder on held-out samples.
+def test(test_split: Dataset, predictor: Predictor | LoopResult, match_tolerance: float) -> DetectionReport:
+    """Evaluate a predictor on held-out samples.
 
-    Accepts a LearnedSolution or a LoopResult (its selected solution).
-    Only the inferrer and encoder run; the decoder is not invoked.
+    A LoopResult stands for its selected solution. Only the inferrer and
+    encoder run; the decoder is not invoked.
     """
-    if isinstance(solution, LoopResult):
-        solution = solution.selected
+    if isinstance(predictor, LoopResult):
+        predictor = predictor.selected
     predictions = []
     truths = []
     for sample in test_split.samples:
-        predicted_map = infer(sample.lattice, solution.inferrer_params)
-        predictions.append(encode(predicted_map, solution.encoder_params))
+        predicted_map = infer(sample.lattice, predictor.inferrer_params)
+        predictions.append(encode(predicted_map, predictor.encoder_params))
         truths.append(sample.truth)
     return report(predictions, truths, match_tolerance)
 

@@ -92,15 +92,29 @@ def save_dataset(ds: Dataset, directory: Path, seed: int, config_echo: dict) -> 
 
 
 def load_dataset(directory: Path) -> tuple[Dataset, dict]:
-    """Read a dataset directory; returns (dataset, manifest)."""
+    """Read a dataset directory; returns (dataset, manifest). A missing key
+    or a bad value is a FormatError naming the file it was read from."""
     directory = Path(directory)
-    manifest = read_json(directory / "manifest.json")
+    manifest_path = directory / "manifest.json"
+    manifest = read_json(manifest_path)
+    try:
+        n = manifest["n"]
+        names = [(entry["lattice"], entry["points"]) for entry in manifest["samples"]]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{manifest_path}: {exc!r}") from exc
     samples = []
-    for entry in manifest["samples"]:
-        values = read_msl1(directory / entry["lattice"])
-        pairs = read_json(directory / entry["points"])
-        points = PointSet(np.asarray(pairs, dtype=np.float64).reshape(len(pairs), 2))
-        samples.append(Sample(lattice=ImageLattice(values), truth=points))
-    if len(samples) != manifest["n"]:
-        raise FormatError(f"{directory}: manifest lists n={manifest['n']} but {len(samples)} samples found")
+    for lattice_name, points_name in names:
+        values = read_msl1(directory / lattice_name)
+        try:
+            lattice = ImageLattice(values)
+        except ValueError as exc:
+            raise FormatError(f"{directory / lattice_name}: {exc!r}") from exc
+        try:
+            pairs = read_json(directory / points_name)
+            points = PointSet(np.asarray(pairs, dtype=np.float64).reshape(len(pairs), 2))
+            samples.append(Sample(lattice=lattice, truth=points))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{directory / points_name}: {exc!r}") from exc
+    if len(samples) != n:
+        raise FormatError(f"{directory}: manifest lists n={n} but {len(samples)} samples found")
     return Dataset(tuple(samples)), manifest

@@ -10,9 +10,8 @@ from msl import inferrer, storage
 from msl.cli import load_config, main
 from msl.data import split
 from msl.decoder import decode_call_count, reset_decode_call_count
-from msl.encoder import EncoderParams, encode
-from msl.metrics import report
-from msl.pipeline import learn
+from msl.encoder import EncoderParams
+from msl.pipeline import Predictor, learn, test
 
 from helpers import (
     assert_dirs_identical,
@@ -95,8 +94,7 @@ class TestLearn:
 
         # The reloaded run reproduces the validation report it stores.
         encoder_params = EncoderParams.from_json_dict(json.loads((out / "encoder_params.json").read_text()))
-        predictions = [encode(inferrer.infer(s.lattice, loaded), encoder_params) for s in val_split.samples]
-        again = report(predictions, [s.truth for s in val_split.samples], config.match_tolerance)
+        again = test(val_split, Predictor(loaded, encoder_params), config.match_tolerance)
         stored = json.loads((out / "validation_report.json").read_text())
         assert json.loads(json.dumps(again.to_json_dict())) == stored
 
@@ -159,6 +157,15 @@ class TestTest:
         (out / "model.msl1").unlink()
         assert main(["test", "--run", str(out)]) == 1
         assert "model.msl1" in capsys.readouterr().err
+
+    def test_unfinished_run_refused(self, workspace, tmp_path, capsys):
+        root, cfg_path, cfg = workspace
+        out = tmp_path / "unfinished"
+        assert main(["learn", "--config", str(cfg_path), "--out", str(out)]) == 0
+        (out / "manifest.json").unlink()
+        for command in ("test", "report"):
+            assert main([command, "--run", str(out)]) == 1
+            assert "manifest.json" in capsys.readouterr().err
 
     def test_no_decoder_invocation_during_test(self, workspace):
         root, _, cfg = workspace

@@ -9,7 +9,7 @@ from msl.errors import DivergenceError, LoopFailureError
 from msl.inferrer import Architecture, TrainConfig, infer, init_params, train
 from msl.encoder import encode
 from msl.metrics import report
-from msl.pipeline import learn, loop, test
+from msl.pipeline import Predictor, learn, loop, test
 from msl.seeds import derive_seed
 
 
@@ -135,9 +135,10 @@ class TestTest:
     def test_accepts_loop_result(self):
         tr, va, te, arch, cfg, dec_space, enc_space, tau = small_world()
         result = loop(tr, va, dec_space, arch, cfg, enc_space, tau)
+        sel = result.selected
         rep_from_loop = test(te, result, tau)
-        rep_from_solution = test(te, result.selected, tau)
-        assert rep_from_loop == rep_from_solution
+        assert test(te, sel, tau) == rep_from_loop
+        assert test(te, Predictor(sel.inferrer_params, sel.encoder_params), tau) == rep_from_loop
 
 
 class TestOnBenchmark:

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -76,3 +77,48 @@ def test_dataset_round_trip(tmp_path):
             original.lattice.values.astype(np.float32).astype(np.float64),
         )
         np.testing.assert_array_equal(roundtrip.truth.points, original.truth.points)
+
+
+def _small_dataset(directory):
+    cfg = SynthConfig(
+        width=8,
+        height=8,
+        blob_count_min=1,
+        blob_count_max=1,
+        blob_amplitude=0.8,
+        blob_radius=1.0,
+        min_separation=2.0,
+        noise_std=0.0,
+        seed=5,
+    )
+    save_dataset(generate_dataset(cfg, 2), directory, seed=cfg.seed, config_echo={})
+    return json.loads((directory / "manifest.json").read_text())
+
+
+def test_manifest_missing_key_names_file_and_key(tmp_path):
+    manifest = _small_dataset(tmp_path)
+    del manifest["samples"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=r"manifest\.json: KeyError\('samples'\)"):
+        load_dataset(tmp_path)
+
+
+def test_bad_sample_file_names_file(tmp_path):
+    manifest = _small_dataset(tmp_path)
+    points = tmp_path / manifest["samples"][1]["points"]
+    good = points.read_text()
+    # Not a list of [x, y] pairs, or a point outside the 8x8 lattice.
+    for bad in ([1.0, 2.0, 3.0], [[1.0, 2.0], [3.0]], {"x": 1.0}, [[1.0, 99.0]]):
+        points.write_text(json.dumps(bad))
+        with pytest.raises(FormatError, match=points.name):
+            load_dataset(tmp_path)
+    points.write_text(good)
+    lattice = tmp_path / manifest["samples"][1]["lattice"]
+    write_msl1(lattice, np.full((8, 8), 2.0))
+    with pytest.raises(FormatError, match=lattice.name):
+        load_dataset(tmp_path)
+    # read_msl1's own FormatError passes through unwrapped.
+    lattice.write_bytes(lattice.read_bytes()[:-4])
+    with pytest.raises(FormatError, match="expected 256") as caught:
+        load_dataset(tmp_path)
+    assert caught.value.__cause__ is None
