@@ -176,7 +176,15 @@ def _versions() -> dict:
 
 
 def _load_splits(cfg: ExperimentConfig, data_dir: Path) -> tuple[Dataset, Dataset, Dataset]:
-    ds, _ = load_dataset(data_dir)
+    """The config's splits of the dataset in data_dir, which must have the
+    config's size and seed: another dataset splits differently, so its
+    test split can hold scenes a run trained on."""
+    ds, manifest = load_dataset(data_dir)
+    for key, expected in (("n", cfg.n), ("seed", cfg.synth.seed)):
+        if manifest.get(key) != expected:
+            raise ConfigError(
+                f"dataset {data_dir} has {key} {manifest.get(key)!r}, but the config gives synth {key} {expected!r}"
+            )
     return split(ds, cfg.fractions, cfg.split_seed)
 
 
@@ -242,10 +250,9 @@ def cmd_learn(args) -> int:
         )
     else:
         decoder_params = cfg.decoder_space.candidates[0]
+    train_split, val_split, _ = _load_splits(cfg, data_dir)
     run_dir = Path(args.out) if args.out else Path(cfg.out_dir) / "learn"
     run_dir.mkdir(parents=True, exist_ok=True)
-
-    train_split, val_split, _ = _load_splits(cfg, data_dir)
     log.info("learn: %s on %d train / %d val samples", decoder_params.to_json_dict(), train_split.n, val_split.n)
     solution = learn(
         train_split, val_split, decoder_params, cfg.arch, cfg.train_cfg,
@@ -272,10 +279,9 @@ def cmd_loop(args) -> int:
     started = time.perf_counter()
     cfg = load_config(Path(args.config))
     data_dir = Path(args.data) if args.data else Path(cfg.out_dir) / "dataset"
+    train_split, val_split, _ = _load_splits(cfg, data_dir)
     run_dir = Path(args.out) if args.out else Path(cfg.out_dir) / "loop"
     run_dir.mkdir(parents=True, exist_ok=True)
-
-    train_split, val_split, _ = _load_splits(cfg, data_dir)
     log.info("loop: %d candidates, %d workers", len(cfg.decoder_space), args.workers)
     result = loop(
         train_split, val_split, cfg.decoder_space, cfg.arch, cfg.train_cfg,

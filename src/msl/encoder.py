@@ -3,6 +3,18 @@
 Encoding is thresholded peak extraction with greedy minimum-separation
 suppression; its (threshold, min_separation) parameters are fitted by
 exhaustive search over a grid against the detection loss.
+
+Exactness of the shared work:
+
+- The greedy separation pass keeps or drops each peak on the higher-ranked
+  peaks alone, so for one min_separation the points kept at threshold h
+  are the points kept at the grid's lowest threshold whose value is >= h:
+  a prefix of that list. The fit runs one pass per map and distinct
+  separation, and matches every threshold of it against one sorted list
+  of eligible pairs, skipping the predictions past the prefix.
+- Peaks sit on integer pixels, so numpy's integer squared distances
+  between them are exact, and comparing them with min_separation**2 is
+  the comparison of a plain double loop.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ import numpy as np
 
 from .data import CandidateSpace, PointSet, grid_values
 from .errors import ConfigError, ShapeError
-from .metrics import detection_loss
+from .metrics import count_loss, eligible_pairs, greedy_pairs
 
 
 @dataclass(frozen=True)
@@ -71,27 +83,41 @@ def _peaks(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return peak_values[order], xs[order], ys[order]
 
 
-def _select(peaks: tuple[np.ndarray, np.ndarray, np.ndarray], params: EncoderParams) -> PointSet:
-    """Greedy separation pass over the peaks at or above the threshold,
-    which are a prefix of the sorted peaks."""
+# Most entries of one block of the pairwise conflict test in _separate.
+_PAIR_BLOCK = 1 << 20
+
+
+def _separate(
+    peaks: tuple[np.ndarray, np.ndarray, np.ndarray], threshold: float, min_separation: float
+) -> np.ndarray:
+    """Indices of the sorted peaks that the greedy separation pass keeps:
+    in order, each peak at or above the threshold (a prefix of the sorted
+    peaks) is kept unless an earlier kept peak is closer than
+    min_separation."""
     peak_values, xs, ys = peaks
-    n = int(np.count_nonzero(peak_values >= params.threshold))
-    min_sq = params.min_separation**2
-    kept_x: list[float] = []
-    kept_y: list[float] = []
-    for x, y in zip(xs[:n].tolist(), ys[:n].tolist()):
-        x, y = float(x), float(y)
-        ok = True
-        for kx, ky in zip(kept_x, kept_y):
-            if (x - kx) ** 2 + (y - ky) ** 2 < min_sq:
-                ok = False
-                break
-        if ok:
-            kept_x.append(x)
-            kept_y.append(y)
-    if not kept_x:
-        return PointSet.empty()
-    return PointSet(np.column_stack([kept_x, kept_y]))
+    n = int(np.count_nonzero(peak_values >= threshold))
+    min_sq = min_separation**2
+    kept = [True] * n
+    # Rows come in blocks, so that no n x n array is built for many peaks.
+    rows = max(1, _PAIR_BLOCK // max(n, 1))
+    for start in range(0, n, rows):
+        stop = min(n, start + rows)
+        dx = xs[start:stop, None] - xs[:stop]
+        dy = ys[start:stop, None] - ys[:stop]
+        ii, jj = np.nonzero(dx * dx + dy * dy < min_sq)
+        ii += start
+        # Conflicts of each peak i with the earlier peaks j < i, in row order.
+        earlier = jj < ii
+        for i, j in zip(ii[earlier].tolist(), jj[earlier].tolist()):
+            if kept[i] and kept[j]:
+                kept[i] = False
+    return np.flatnonzero(kept)
+
+
+def _pixels(peaks: tuple[np.ndarray, np.ndarray, np.ndarray], kept: np.ndarray) -> PointSet:
+    """The pixels of the kept peaks as points, in peak order."""
+    _, xs, ys = peaks
+    return PointSet(np.column_stack([xs[kept], ys[kept]]))
 
 
 def encode(t, params: EncoderParams) -> PointSet:
@@ -102,7 +128,8 @@ def encode(t, params: EncoderParams) -> PointSet:
     index as the tie-break; greedily keep points at distance >=
     min_separation from everything kept so far.
     """
-    return _select(_peaks(t), params)
+    peaks = _peaks(t)
+    return _pixels(peaks, _separate(peaks, params.threshold, params.min_separation))
 
 
 def encoder_grid(thresholds: list[float], separations: list[float]) -> EncoderSpace:
@@ -131,15 +158,23 @@ def fit_encoder(
         raise ShapeError(f"{len(predicted_maps)} maps vs {len(truths)} truths")
     if not predicted_maps:
         raise ConfigError("encoder fit requires at least one sample")
-    # The peaks depend only on the map, so every candidate reuses them.
-    peaks = [_peaks(t) for t in predicted_maps]
-    table: list[tuple[EncoderParams, float]] = []
-    for candidate in space.candidates:
-        losses = [
-            detection_loss(_select(p, candidate), truth, match_tolerance)
-            for p, truth in zip(peaks, truths)
-        ]
-        table.append((candidate, float(sum(losses) / len(losses))))
+    lowest = min(c.threshold for c in space.candidates)
+    by_separation: dict[float, list[int]] = {}
+    for index, c in enumerate(space.candidates):
+        by_separation.setdefault(c.min_separation, []).append(index)
+    losses: list[list[float]] = [[] for _ in space.candidates]
+    for t, truth in zip(predicted_maps, truths):
+        peaks = _peaks(t)
+        for separation, indices in by_separation.items():
+            kept = _separate(peaks, lowest, separation)
+            kept_values = peaks[0][kept]
+            eligible = eligible_pairs(_pixels(peaks, kept).points, truth.points, match_tolerance)
+            for index in indices:
+                # The candidate's points are the kept prefix at or above its threshold.
+                k = int(np.count_nonzero(kept_values >= space.candidates[index].threshold))
+                tp = len(greedy_pairs(eligible, k))
+                losses[index].append(count_loss(tp, k - tp, len(truth) - tp))
+    table = [(c, float(sum(per_map) / len(per_map))) for c, per_map in zip(space.candidates, losses)]
     # min() returns the first of equal minima: the earliest candidate wins ties.
     best, _ = min(table, key=lambda row: row[1])
     return best, table

@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 These stay deliberately separate from the library's code paths: forward
-evaluation and suppression are straight-line loops, matching is an
-exhaustive search, and gradients come from central finite differences.
+evaluation, suppression and greedy matching are straight-line loops,
+optimal matching is an exhaustive search, and gradients come from
+central finite differences.
 """
 
 from __future__ import annotations
@@ -159,6 +160,29 @@ def encode_reference(values, threshold: float, min_separation: float) -> list[tu
         if good:
             kept.append((float(x), float(y)))
     return kept
+
+
+def greedy_match_reference(pred, truth, tau: float):
+    """Greedy matching over a plain double loop of math.hypot: every pair
+    with distance <= tau, by ascending (distance, pred index, truth
+    index), each point used at most once. Returns (pairs, tp, fp, fn)."""
+    pred = [(float(x), float(y)) for x, y in pred]
+    truth = [(float(x), float(y)) for x, y in truth]
+    eligible = []
+    for i, (px, py) in enumerate(pred):
+        for j, (tx, ty) in enumerate(truth):
+            d = math.hypot(px - tx, py - ty)
+            if d <= tau:
+                eligible.append((d, i, j))
+    eligible.sort()
+    used_pred, used_truth, pairs = set(), set(), []
+    for _, i, j in eligible:
+        if i not in used_pred and j not in used_truth:
+            used_pred.add(i)
+            used_truth.add(j)
+            pairs.append((i, j))
+    tp = len(pairs)
+    return tuple(pairs), tp, len(pred) - tp, len(truth) - tp
 
 
 def optimal_tp(pred, truth, tau: float) -> int:

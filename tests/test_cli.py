@@ -167,6 +167,30 @@ class TestTest:
             assert main([command, "--run", str(out)]) == 1
             assert "manifest.json" in capsys.readouterr().err
 
+    def test_dataset_of_another_size_or_seed_refused(self, workspace, tmp_path, capsys):
+        root, cfg_path, cfg = workspace
+        run = Path(cfg["out_dir"]) / "loop"
+        assert main(["test", "--run", str(run)]) == 0
+        bigger = small_config_dict(str(tmp_path / "exp"))
+        bigger["synth"]["n"] = 40
+        reseeded = small_config_dict(str(tmp_path / "exp"), seed=cfg["seed"] + 1)
+        errors = {}
+        for name, other in (("n40", bigger), ("reseeded", reseeded)):
+            dataset = tmp_path / name
+            other_path = write_config(tmp_path / f"{name}.json", other)
+            assert main(["gen", "--config", str(other_path), "--out", str(dataset)]) == 0
+            capsys.readouterr()
+            assert main(["test", "--run", str(run), "--data", str(dataset)]) == 2
+            errors[name] = capsys.readouterr().err
+            assert "config error" in errors[name] and str(dataset) in errors[name]
+        assert "has n 40" in errors["n40"] and "synth n 30" in errors["n40"]
+        assert "has seed" in errors["reseeded"]
+        # learn refuses it too, so that a run's config always describes its data.
+        out = tmp_path / "mismatched"
+        assert main(["learn", "--config", str(cfg_path), "--data", str(tmp_path / "n40"), "--out", str(out)]) == 2
+        assert "has n 40" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_decoder_invocation_during_test(self, workspace):
         root, _, cfg = workspace
         run = Path(cfg["out_dir"]) / "loop"

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from msl import encoder
 from msl.data import PointSet
 from msl.decoder import DecoderParams, decode_careful
 from msl.encoder import EncoderParams, EncoderSpace, encode, encoder_grid, fit_encoder
 from msl.errors import ConfigError
 from msl.metrics import detection_loss
 
-from oracles import encode_reference
+from oracles import encode_reference, greedy_match_reference
 
 
 def as_points(pairs):
@@ -72,6 +73,16 @@ class TestEncode:
             got = [(x, y) for x, y in encode(values, params).points]
             expected = encode_reference(values.tolist(), params.threshold, params.min_separation)
             assert got == expected
+
+    def test_conflicts_found_in_small_blocks_match_reference(self, monkeypatch):
+        # Blocks of a few rows each, as for a lattice with very many peaks.
+        monkeypatch.setattr(encoder, "_PAIR_BLOCK", 50)
+        rng = np.random.default_rng(19)
+        for trial in range(20):
+            values = random_map(rng, quantized=trial % 2 == 0)
+            params = EncoderParams(threshold=0.05, min_separation=float(rng.integers(1, 5)))
+            got = [(x, y) for x, y in encode(values, params).points]
+            assert got == encode_reference(values.tolist(), params.threshold, params.min_separation)
 
     def test_raising_threshold_never_adds_points(self):
         rng = np.random.default_rng(11)
@@ -182,6 +193,47 @@ class TestFit:
             ]
             expected.append((params, float(sum(losses) / len(losses))))
         assert table == expected
+
+    def test_table_matches_references_on_shuffled_grid_and_empty_cases(self):
+        rng = np.random.default_rng(17)
+        # Scaled maps put peaks between the thresholds and on them: a quantized
+        # map times 0.4 takes the values 0.1, 0.2, 0.3 and 0.4 exactly.
+        scales = [1.0, 1.0, 0.4, 0.4, 0.6, 0.3, 2.0, 0.5]
+        maps = [random_map(rng, quantized=k % 2 == 0) * scale for k, scale in enumerate(scales)]
+        # No peak at or above the lowest threshold, 0.1.
+        maps += [np.zeros((16, 16)), np.full((16, 16), 0.05), rng.uniform(0, 0.09, size=(16, 16))]
+        truths = [PointSet(rng.uniform(0, 15, size=(int(rng.integers(0, 6)), 2))) for _ in maps]
+        truths[1] = truths[-1] = PointSet.empty()
+        # A grid in no sorted order on either factor.
+        space = encoder_grid([0.5, 0.1, 0.9, 0.25], [4.0, 1.0, 2.0])
+        _, table = fit_encoder(maps, truths, space, 2.0)
+        expected = []
+        for params in space.candidates:
+            losses = []
+            for m, t in zip(maps, truths):
+                pred = encode_reference(m.tolist(), params.threshold, params.min_separation)
+                _, tp, fp, fn = greedy_match_reference(pred, t.points, 2.0)
+                denom = 2 * tp + fp + fn
+                losses.append(1.0 - (1.0 if denom == 0 else 2 * tp / denom))
+            expected.append((params, float(sum(losses) / len(losses))))
+        assert table == expected
+
+    def test_one_separation_pass_per_map_and_separation(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        maps, truths = self.make_maps(rng, n=5)
+        space = encoder_grid([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [2.0, 4.0, 6.0])
+        expected = fit_encoder(maps, truths, space, 3.0)
+        calls = []
+        separate = encoder._separate
+
+        def counted(*args):
+            calls.append(args[1:])
+            return separate(*args)
+
+        monkeypatch.setattr(encoder, "_separate", counted)
+        assert fit_encoder(maps, truths, space, 3.0) == expected
+        assert len(calls) == 3 * len(maps)
+        assert sorted(set(calls)) == [(0.1, 2.0), (0.1, 4.0), (0.1, 6.0)]
 
     def test_tabulated_loss_reproducible(self):
         rng = np.random.default_rng(15)

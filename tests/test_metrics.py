@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msl.data import PointSet
+from msl.encoder import encoder_grid, fit_encoder
 from msl.errors import ShapeError
 from msl.metrics import detection_loss, match, report
 
-from oracles import optimal_tp
+from oracles import greedy_match_reference, optimal_tp
 
 
 def points(array_like) -> PointSet:
@@ -73,11 +76,61 @@ class TestMatch:
             best = optimal_tp(pred, truth, tau)
             assert greedy_tp == best == n_kept
 
+    def test_nonpositive_tau_rejected(self):
+        pts = points([(1.0, 1.0)])
+        for tau in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                match(pts, pts, tau)
+            with pytest.raises(ValueError):
+                fit_encoder([np.zeros((4, 4))], [PointSet.empty()], encoder_grid([0.5], [2.0]), tau)
+
     def test_tie_break_prefers_lower_pred_index(self):
         pred = points([(1.0, 2.0), (3.0, 2.0)])
         truth = points([(2.0, 2.0)])
         m = match(pred, truth, 1.5)
         assert m.pairs == ((0, 0),)
+
+
+# Integer predictions, as the encoder makes them, and sub-pixel truths.
+_pixel_points = st.lists(st.tuples(st.integers(0, 12).map(float), st.integers(0, 12).map(float)), max_size=8)
+_subpixel_points = st.lists(
+    st.tuples(
+        st.one_of(st.floats(0, 12), st.integers(0, 24).map(lambda k: k / 2)),
+        st.one_of(st.floats(0, 12), st.integers(0, 24).map(lambda k: k / 2)),
+    ),
+    max_size=8,
+)
+_taus = st.one_of(
+    st.sampled_from([1.0, 2.0, 3.0, 5.0, math.nextafter(5.0, 0.0), math.nextafter(5.0, math.inf), math.sqrt(2.0)]),
+    st.floats(0.1, 10),
+)
+
+
+class TestMatchAgainstReference:
+    @settings(max_examples=100, deadline=None)
+    @given(pred=st.one_of(_pixel_points, _subpixel_points), truth=_subpixel_points, tau=_taus)
+    # Empty sides.
+    @example(pred=[], truth=[], tau=2.0)
+    @example(pred=[(1.0, 1.0)], truth=[], tau=2.0)
+    @example(pred=[], truth=[(1.0, 1.0)], tau=2.0)
+    # A 3-4-5 triangle exactly at tau, and one ulp either side.
+    @example(pred=[(0.0, 0.0)], truth=[(3.0, 4.0)], tau=5.0)
+    @example(pred=[(0.0, 0.0)], truth=[(3.0, 4.0)], tau=math.nextafter(5.0, 0.0))
+    @example(pred=[(0.0, 0.0)], truth=[(3.0, 4.0)], tau=math.nextafter(5.0, math.inf))
+    @example(pred=[(0.0, 0.0)], truth=[(3.0, math.nextafter(4.0, math.inf))], tau=5.0)
+    # Equal-distance ties on both sides.
+    @example(pred=[(1.0, 2.0), (3.0, 2.0)], truth=[(2.0, 2.0)], tau=1.5)
+    @example(pred=[(2.0, 2.0)], truth=[(1.0, 2.0), (3.0, 2.0), (2.0, 1.0), (2.0, 3.0)], tau=1.0)
+    @example(pred=[(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)], truth=[(1.0, 0.0), (0.0, 1.0), (2.0, 1.0)], tau=1.0)
+    def test_equals_double_loop(self, pred, truth, tau):
+        m = match(points(pred), points(truth), tau)
+        assert (m.pairs, m.tp, m.fp, m.fn) == greedy_match_reference(pred, truth, tau)
+
+    def test_tau_edge_of_a_3_4_5_triangle(self):
+        pred, truth = points([(0.0, 0.0)]), points([(3.0, 4.0)])
+        assert match(pred, truth, 5.0).pairs == ((0, 0),)
+        assert match(pred, truth, math.nextafter(5.0, 0.0)).pairs == ()
+        assert match(pred, truth, math.nextafter(5.0, math.inf)).pairs == ((0, 0),)
 
 
 class TestDetectionLoss:
