@@ -3,7 +3,19 @@ pipeline: decode ground truth into target maps, infer maps from images,
 encode maps back into points; an outer loop searches the decoder space.
 """
 
+import os
+
 __version__ = "0.1.0"
+
+# msl runs its own threads: `train` gathers minibatches on a second thread,
+# `infer_maps` infers on two, and `loop` can run worker processes, which
+# inherit the environment. One BLAS thread per msl thread keeps them from
+# contending for BLAS's own pool. BLAS reads these once, when numpy is
+# first imported, so the pin takes effect only if msl is imported before
+# numpy; a value the user set is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .data import (
     Dataset,
@@ -33,6 +45,7 @@ from .inferrer import (
     TrainResult,
     gradient,
     infer,
+    infer_maps,
     init_params,
     train,
 )
@@ -74,6 +87,7 @@ __all__ = [
     "generate_sample",
     "gradient",
     "infer",
+    "infer_maps",
     "init_params",
     "learn",
     "loop",

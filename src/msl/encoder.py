@@ -59,24 +59,30 @@ def _as_map(t) -> np.ndarray:
     return values
 
 
-def _neighbour_max(values: np.ndarray) -> np.ndarray:
-    """Max over the 8 neighbours of each pixel, out-of-bounds as -inf."""
-    padded = np.full((values.shape[0] + 2, values.shape[1] + 2), -np.inf)
-    padded[1:-1, 1:-1] = values
-    shifts = [
-        padded[dy : dy + values.shape[0], dx : dx + values.shape[1]]
-        for dy in (0, 1, 2)
-        for dx in (0, 1, 2)
-        if not (dy == 1 and dx == 1)
-    ]
-    return np.maximum.reduce(shifts)
+def _window_max(values: np.ndarray) -> np.ndarray:
+    """Max over the 3x3 window of each pixel, clipped at the borders, taken
+    along rows and then along columns. NaN anywhere in a window gives NaN."""
+    rows = values.copy()
+    np.maximum(rows[:, 1:], values[:, :-1], out=rows[:, 1:])
+    np.maximum(rows[:, :-1], values[:, 1:], out=rows[:, :-1])
+    window = rows.copy()
+    np.maximum(window[1:], rows[:-1], out=window[1:])
+    np.maximum(window[:-1], rows[1:], out=window[:-1])
+    return window
 
 
-def _peaks(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every peak of the clamped map as (values, xs, ys), by descending value
-    with row-major index as the tie-break; independent of EncoderParams."""
+def _peaks(t, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every peak of the clamped map at or above floor as (values, xs, ys),
+    by descending value with row-major index as the tie-break.
+
+    A peak is >= each of its 8 neighbours, that is >= its 3x3 window's
+    max, so a peak at or above floor is >= the larger of that max and
+    floor. Dropping the peaks below floor before the sort leaves the
+    order of the others as it was: the result is the prefix of all peaks,
+    sorted, that is >= floor.
+    """
     values = np.clip(_as_map(t), 0.0, 1.0)
-    ys, xs = np.nonzero(values >= _neighbour_max(values))
+    ys, xs = np.nonzero(values >= np.maximum(_window_max(values), floor))
     peak_values = values[ys, xs]
     # np.nonzero lists peaks in row-major order, which a stable sort keeps for ties.
     order = np.argsort(-peak_values, kind="stable")
@@ -128,7 +134,7 @@ def encode(t, params: EncoderParams) -> PointSet:
     index as the tie-break; greedily keep points at distance >=
     min_separation from everything kept so far.
     """
-    peaks = _peaks(t)
+    peaks = _peaks(t, params.threshold)
     return _pixels(peaks, _separate(peaks, params.threshold, params.min_separation))
 
 
@@ -164,7 +170,7 @@ def fit_encoder(
         by_separation.setdefault(c.min_separation, []).append(index)
     losses: list[list[float]] = [[] for _ in space.candidates]
     for t, truth in zip(predicted_maps, truths):
-        peaks = _peaks(t)
+        peaks = _peaks(t, lowest)
         for separation, indices in by_separation.items():
             kept = _separate(peaks, lowest, separation)
             kept_values = peaks[0][kept]

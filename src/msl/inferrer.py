@@ -16,6 +16,14 @@ and `gradient` follow the dtype of their inputs, so the gradient check
 still runs the same code in float64. Inference stays float64: `infer`
 upcasts the float32 weights and computes on the lattice as given, so a
 predicted map carries no rounding beyond the weights' own.
+
+`infer_maps` infers a list of lattices on two threads: the caller
+computes the first half while one worker thread computes the second.
+Both run the per-lattice kernel that `infer` runs, so each map is
+`infer`'s bit for bit. Each thread is meant to use one BLAS thread:
+importing msl sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 unless they are set, which takes effect only if
+msl is imported before numpy.
 """
 
 from __future__ import annotations
@@ -181,16 +189,55 @@ def _windows(values: np.ndarray, c: int) -> np.ndarray:
     return sliding_window_view(np.pad(values, pad, mode="reflect"), (side, side), axis=(-2, -1))
 
 
-def infer(lattice, params: InferrerParams) -> np.ndarray:
-    """Predicted float64 target map for a lattice; raw values may exit [0, 1]."""
-    values = grid_values(lattice)
+def _weights(params: InferrerParams) -> tuple[int, tuple]:
+    """The context radius and the float64 weights that inference runs on."""
     side = int(round(math.sqrt(params.input_dim)))
     if side * side != params.input_dim:
         raise ShapeError("parameter input dimension is not a square patch")
-    patches = _windows(values, (side - 1) // 2).reshape(values.size, params.input_dim)
     w1, b1, w2 = (a.astype(np.float64) for a in (params.w1, params.b1, params.w2))
-    pred, _ = _forward(w1, b1, w2, np.float64(params.b2), patches)
+    return (side - 1) // 2, (w1, b1, w2, np.float64(params.b2))
+
+
+def _lattice_values(lattice) -> np.ndarray:
+    values = grid_values(lattice)
+    if values.ndim != 2 or values.size == 0:
+        raise ShapeError(f"a lattice must be a non-empty 2-D grid, got shape {values.shape}")
+    return values
+
+
+def _predict(values: np.ndarray, c: int, weights: tuple) -> np.ndarray:
+    """One lattice's map. numpy only: it also runs on `infer_maps`' worker
+    thread, where no msl name may be called, since a tracer may rebind
+    those to single-threaded span recorders."""
+    w1, b1, w2, b2 = weights
+    patches = _windows(values, c).reshape(values.size, w1.shape[1])
+    pred, _ = _forward(w1, b1, w2, b2, patches)
     return pred.reshape(values.shape)
+
+
+def infer(lattice, params: InferrerParams) -> np.ndarray:
+    """Predicted float64 target map for a lattice; raw values may exit [0, 1]."""
+    c, weights = _weights(params)
+    return _predict(_lattice_values(lattice), c, weights)
+
+
+def infer_maps(lattices, params: InferrerParams) -> list[np.ndarray]:
+    """`infer` of every lattice, in order, bit for bit, on two threads.
+
+    Every lattice is checked and the weights upcast on the calling thread
+    first. Then one worker thread computes the second half of the maps
+    while the caller computes the first; it has exited when this returns
+    or raises.
+    """
+    c, weights = _weights(params)
+    values = [_lattice_values(lattice) for lattice in lattices]
+    half = (len(values) + 1) // 2
+    if half == len(values):
+        return [_predict(v, c, weights) for v in values]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        second = pool.submit(lambda: [_predict(v, c, weights) for v in values[half:]])
+        first = [_predict(v, c, weights) for v in values[:half]]
+        return first + second.result()
 
 
 def gradient(

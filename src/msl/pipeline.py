@@ -19,7 +19,8 @@ from .data import Dataset
 from .decoder import DecoderParams, DecoderSpace, decode
 from .encoder import EncoderParams, EncoderSpace, encode, fit_encoder
 from .errors import DivergenceError, LoopFailureError
-from .inferrer import Architecture, InferrerParams, TrainConfig, infer, train
+from . import inferrer
+from .inferrer import Architecture, InferrerParams, TrainConfig, infer_maps, train
 from .metrics import DetectionReport, report
 from .seeds import derive_seed
 
@@ -82,7 +83,7 @@ def learn(
     targets = [decode(s.truth, s.lattice.shape, decoder_params) for s in train_split.samples]
     result = train([s.lattice for s in train_split.samples], targets, arch, train_cfg)
 
-    val_maps = [infer(s.lattice, result.params) for s in val_split.samples]
+    val_maps = infer_maps([s.lattice for s in val_split.samples], result.params)
     val_truths = [s.truth for s in val_split.samples]
     encoder_params, table = fit_encoder(val_maps, val_truths, encoder_space, match_tolerance)
 
@@ -159,13 +160,15 @@ def test(test_split: Dataset, predictor: Predictor | LoopResult, match_tolerance
     """
     if isinstance(predictor, LoopResult):
         predictor = predictor.selected
+    lattices = [s.lattice for s in test_split.samples]
+    # Maps are inferred in blocks of about inferrer._PREFETCH_BYTES, so
+    # that memory stays bounded however many samples there are.
+    per_block = max(1, inferrer._PREFETCH_BYTES // lattices[0].values.nbytes) if lattices else 1
     predictions = []
-    truths = []
-    for sample in test_split.samples:
-        predicted_map = infer(sample.lattice, predictor.inferrer_params)
-        predictions.append(encode(predicted_map, predictor.encoder_params))
-        truths.append(sample.truth)
-    return report(predictions, truths, match_tolerance)
+    for start in range(0, len(lattices), per_block):
+        maps = infer_maps(lattices[start : start + per_block], predictor.inferrer_params)
+        predictions += [encode(m, predictor.encoder_params) for m in maps]
+    return report(predictions, [s.truth for s in test_split.samples], match_tolerance)
 
 
 # Not a pytest test, though test modules import it under this name.

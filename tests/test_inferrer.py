@@ -135,6 +135,69 @@ class TestInfer:
         assert abs(out[0, 0] - expected) < 1e-12
 
 
+class TestInferMaps:
+    @staticmethod
+    def lattices(n, rng):
+        # Shapes differ from lattice to lattice, so that a map out of order
+        # could not pass for the right one.
+        return [ImageLattice(rng.uniform(0, 1, size=(5 + k, 7 + 2 * k))) for k in range(n)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_infer_in_input_order(self, n, dtype):
+        rng = np.random.default_rng(40 + n)
+        wide = random_params(Architecture(context_radius=2, hidden_units=6), rng)
+        params = InferrerParams(w1=wide.w1.astype(dtype), b1=wide.b1.astype(dtype), w2=wide.w2.astype(dtype), b2=wide.b2)
+        lattices = self.lattices(n, rng)
+        for given in (lattices, [l.values.tolist() for l in lattices]):
+            maps = inferrer.infer_maps(given, params)
+            expected = [infer(l, params) for l in given]
+            assert len(maps) == n
+            for got, want in zip(maps, expected):
+                assert got.dtype == want.dtype == np.float64
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_bad_lattice_raises_before_any_thread_starts(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a worker thread was started")
+
+        monkeypatch.setattr(inferrer, "ThreadPoolExecutor", no_thread)
+        rng = np.random.default_rng(44)
+        params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
+        good = [l.values for l in self.lattices(4, rng)]
+        for bad in (np.ones(5), np.ones((2, 3, 3)), np.ones((0, 4))):
+            with pytest.raises(ShapeError, match="2-D"):
+                inferrer.infer_maps(good + [bad], params)
+        not_square = InferrerParams(w1=np.zeros((4, 8)), b1=np.zeros(4), w2=np.zeros(4), b2=0.0)
+        with pytest.raises(ShapeError, match="square"):
+            inferrer.infer_maps(good, not_square)
+
+    def test_no_thread_outlives_infer_maps(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
+        lattices = self.lattices(6, rng)
+        before = threading.active_count()
+        inferrer.infer_maps(lattices, params)
+        assert threading.active_count() == before
+        with pytest.raises(ShapeError):
+            inferrer.infer_maps(lattices + [np.ones(3)], params)
+        assert threading.active_count() == before
+
+        # A failure on the worker thread reaches the caller once it has exited.
+        predict = inferrer._predict
+
+        def failing(values, c, weights):
+            if values.shape == lattices[-1].values.shape:
+                raise MemoryError("out of memory on the last lattice")
+            return predict(values, c, weights)
+
+        monkeypatch.setattr(inferrer, "_predict", failing)
+        with pytest.raises(MemoryError, match="last lattice"):
+            inferrer.infer_maps(lattices, params)
+        assert threading.active_count() == before
+
+
 def map_loss(params: InferrerParams, values, target) -> float:
     """The training loss (`_step`'s) over every pixel of one lattice."""
     c = int(round(math.sqrt(params.input_dim))) // 2

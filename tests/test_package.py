@@ -1,4 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import msl
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_every_export_resolves():
@@ -7,3 +16,15 @@ def test_every_export_resolves():
     namespace = {}
     exec("from msl import *", namespace)
     assert set(msl.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+def test_import_pins_blas_threads_unless_set(given, expected):
+    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in variables}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = f"import os, msl; print(*(os.environ[v] for v in {variables!r}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [expected, "1", "1"]

@@ -140,6 +140,24 @@ class TestTest:
         assert test(te, sel, tau) == rep_from_loop
         assert test(te, Predictor(sel.inferrer_params, sel.encoder_params), tau) == rep_from_loop
 
+    def test_blocked_two_thread_inference_gives_the_per_sample_report(self, monkeypatch):
+        tr, va, te, arch, cfg, _, enc_space, tau = small_world()
+        sol = learn(tr, va, DecoderParams.careful(1.5, 4.5), arch, cfg, enc_space, tau)
+        # The 24 training scenes of 24x24 as the held-out split, in blocks of 5 maps.
+        monkeypatch.setattr(msl.inferrer, "_PREFETCH_BYTES", 5 * 24 * 24 * 8 + 1)
+        blocks = []
+        infer_maps = msl.pipeline.infer_maps
+
+        def counted(lattices, params):
+            blocks.append(len(lattices))
+            return infer_maps(lattices, params)
+
+        monkeypatch.setattr(msl.pipeline, "infer_maps", counted)
+        got = test(tr, sol, tau)
+        assert blocks == [5, 5, 5, 5, 4]
+        preds = [encode(infer(s.lattice, sol.inferrer_params), sol.encoder_params) for s in tr.samples]
+        assert got == report(preds, [s.truth for s in tr.samples], tau)
+
 
 class TestOnBenchmark:
     """End-to-end expectations on the standard benchmark (shared run)."""
@@ -171,4 +189,4 @@ class TestOnBenchmark:
         preds = [encode(m, sol.encoder_params) for m in maps]
         rep = report(preds, [s.truth for s in benchmark_run.val.samples], tau)
         stored = benchmark_run.result.entries[benchmark_run.result.selected_index].validation_loss
-        assert abs(rep.loss - stored) < 1e-12
+        assert rep.loss == stored
