@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import platform
 import sys
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import Dataset, SynthConfig, generate_dataset, split
+from .data import Dataset, SynthConfig, generate_dataset, split, split_sizes
 from .decoder import DecoderParams, DecoderSpace, decoder_grid
 from .encoder import EncoderParams, EncoderSpace, encoder_grid
 from .errors import ConfigError, MissingArtifactError
@@ -58,8 +59,16 @@ class ExperimentConfig:
         return derive_seed(self.master_seed, _SPLIT_STREAM)
 
 
+def _finite(value) -> float:
+    """float() that refuses NaN and the infinities."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
+
+
 def _floats(values) -> list[float]:
-    return [float(v) for v in values]
+    return [_finite(v) for v in values]
 
 
 def _integer(value) -> int:
@@ -90,16 +99,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
         height=_require(s, "height", "synth.", _integer),
         blob_count_min=_require(s, "blob_count_min", "synth.", _integer),
         blob_count_max=_require(s, "blob_count_max", "synth.", _integer),
-        blob_amplitude=_require(s, "blob_amplitude", "synth.", float),
-        blob_radius=_require(s, "blob_radius", "synth.", float),
-        min_separation=_require(s, "min_separation", "synth.", float),
-        noise_std=_require(s, "noise_std", "synth.", float),
+        blob_amplitude=_require(s, "blob_amplitude", "synth.", _finite),
+        blob_radius=_require(s, "blob_radius", "synth.", _finite),
+        min_separation=_require(s, "min_separation", "synth.", _finite),
+        noise_std=_require(s, "noise_std", "synth.", _finite),
         seed=derive_seed(master_seed, _SYNTH_STREAM),
     )
     n = _require(s, "n", "synth.", _integer)
     fractions = tuple(_require(s, "fractions", "synth.", _floats))
     if len(fractions) != 3:
         raise ConfigError("'synth.fractions' must be [train, val, test]")
+    split_sizes(n, fractions)
 
     d = _require(raw, "decoder", "", dict)
     include_careless = d.get("include_careless", False)
@@ -107,7 +117,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"field 'decoder.include_careless' must be true or false, got {include_careless!r}")
     decoder_space = decoder_grid(
         _require(d, "sigmas", "decoder.", _floats),
-        _require(d, "radius_multiplier", "decoder.", float),
+        _require(d, "radius_multiplier", "decoder.", _finite),
         include_careless=include_careless,
     )
 
@@ -118,7 +128,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
     train_cfg = TrainConfig(
         epochs=_require(i, "epochs", "inferrer.", _integer),
-        learning_rate=_require(i, "learning_rate", "inferrer.", float),
+        learning_rate=_require(i, "learning_rate", "inferrer.", _finite),
         batch_pixels=_require(i, "batch_pixels", "inferrer.", _integer),
         seed=derive_seed(master_seed, _TRAIN_STREAM),
     )
@@ -130,7 +140,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
     m = _require(raw, "metrics", "", dict)
-    match_tolerance = _require(m, "match_tolerance", "metrics.", float)
+    match_tolerance = _require(m, "match_tolerance", "metrics.", _finite)
     if match_tolerance <= 0.0:
         raise ConfigError("'metrics.match_tolerance' must be positive")
 
@@ -229,6 +239,12 @@ def _solution_artifacts(directory: Path, cfg: ExperimentConfig, solution: Learne
     return ["model.json", "model.msl1", "encoder_params.json", "encoder_table.csv", "trace.csv", "validation_report.json"]
 
 
+def _fresh_run_dir(run_dir: Path) -> None:
+    """Make run_dir without an earlier run's manifest.json: unfinished until this run ends."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "manifest.json").unlink(missing_ok=True)
+
+
 def cmd_gen(args) -> int:
     started = time.perf_counter()
     cfg = load_config(Path(args.config))
@@ -252,7 +268,7 @@ def cmd_learn(args) -> int:
         decoder_params = cfg.decoder_space.candidates[0]
     train_split, val_split, _ = _load_splits(cfg, data_dir)
     run_dir = Path(args.out) if args.out else Path(cfg.out_dir) / "learn"
-    run_dir.mkdir(parents=True, exist_ok=True)
+    _fresh_run_dir(run_dir)
     log.info("learn: %s on %d train / %d val samples", decoder_params.to_json_dict(), train_split.n, val_split.n)
     solution = learn(
         train_split, val_split, decoder_params, cfg.arch, cfg.train_cfg,
@@ -277,11 +293,13 @@ def cmd_learn(args) -> int:
 
 def cmd_loop(args) -> int:
     started = time.perf_counter()
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = load_config(Path(args.config))
     data_dir = Path(args.data) if args.data else Path(cfg.out_dir) / "dataset"
     train_split, val_split, _ = _load_splits(cfg, data_dir)
     run_dir = Path(args.out) if args.out else Path(cfg.out_dir) / "loop"
-    run_dir.mkdir(parents=True, exist_ok=True)
+    _fresh_run_dir(run_dir)
     log.info("loop: %d candidates, %d workers", len(cfg.decoder_space), args.workers)
     result = loop(
         train_split, val_split, cfg.decoder_space, cfg.arch, cfg.train_cfg,

@@ -239,31 +239,31 @@ def generate_dataset(cfg: SynthConfig, n: int) -> Dataset:
     return Dataset(tuple(samples))
 
 
-def split(
-    ds: Dataset, fractions: tuple[float, float, float], seed: int
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Disjoint train/val/test partition by seeded shuffle.
+def split_sizes(n: int, fractions) -> tuple[int, int, int]:
+    """(train, val, test) sizes of a split of n samples.
 
     Validation and test sizes are floor allocations of their fractions;
-    the remainder goes to train.
+    the remainder goes to train. Bad fractions or an empty part are a ConfigError.
     """
     f_train, f_val, f_test = (float(f) for f in fractions)
     if min(f_train, f_val, f_test) <= 0.0:
         raise ConfigError("split fractions must be positive")
     if abs(f_train + f_val + f_test - 1.0) > 1e-9:
         raise ConfigError("split fractions must sum to 1")
-    n = ds.n
     # The 1e-9 nudge keeps exact fractions like 1/6 from flooring one short.
     n_val = int(math.floor(f_val * n + 1e-9))
     n_test = int(math.floor(f_test * n + 1e-9))
     n_train = n - n_val - n_test
     if min(n_train, n_val, n_test) < 1:
         raise ConfigError(f"split of {n} samples leaves an empty part")
-    perm = make_rng(seed).permutation(n)
-    parts = (
-        perm[:n_train],
-        perm[n_train : n_train + n_val],
-        perm[n_train + n_val :],
-    )
+    return n_train, n_val, n_test
+
+
+def split(ds: Dataset, fractions: tuple[float, float, float], seed: int) -> tuple[Dataset, Dataset, Dataset]:
+    """Disjoint train/val/test partition by seeded shuffle, of the sizes
+    that `split_sizes` gives."""
+    n_train, n_val, _ = split_sizes(ds.n, fractions)
+    perm = make_rng(seed).permutation(ds.n)
+    parts = (perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :])
     train, val, test = (Dataset(tuple(ds.samples[i] for i in idx)) for idx in parts)
     return train, val, test

@@ -67,25 +67,6 @@ class DecoderSpace(CandidateSpace):
     """Ordered, duplicate-free DecoderParams candidates for the decoder search."""
 
 
-# Instrumentation: counts every careless/careful decode. Lets callers prove
-# a code path (e.g. testing) never touches ground-truth transformation.
-_decode_calls = 0
-
-
-def decode_call_count() -> int:
-    return _decode_calls
-
-
-def reset_decode_call_count() -> None:
-    global _decode_calls
-    _decode_calls = 0
-
-
-def _count_call() -> None:
-    global _decode_calls
-    _decode_calls += 1
-
-
 def _check_bounds(truth: PointSet, width: int, height: int) -> None:
     if not truth.in_bounds(width, height):
         raise ValueError("truth points must lie within the target shape")
@@ -100,7 +81,6 @@ def _round_half_up(value: float) -> int:
 
 def decode_careless(truth: PointSet, shape: tuple[int, int]) -> TargetMap:
     """Value 1 at each point's nearest pixel (round half up), 0 elsewhere."""
-    _count_call()
     width, height = shape
     _check_bounds(truth, width, height)
     values = np.zeros((height, width), dtype=np.float64)
@@ -117,7 +97,6 @@ def decode_careful(truth: PointSet, shape: tuple[int, int], params: DecoderParam
     Pixel p gets max over points q of exp(-|p-q|^2 / (2 sigma^2)), with a
     point contributing nothing beyond `radius` of it.
     """
-    _count_call()
     if params.variant is not DecoderVariant.CAREFUL:
         raise VariantMismatchError("decode_careful requires careful params")
     width, height = shape

@@ -2,7 +2,9 @@
 
 Encoding is thresholded peak extraction with greedy minimum-separation
 suppression; its (threshold, min_separation) parameters are fitted by
-exhaustive search over a grid against the detection loss.
+exhaustive search over a grid against the detection loss. The fit pools
+the chosen candidate's exact matching counts too, so its report is the
+report of the fitted maps: `learn` stores it as the validation report.
 
 Exactness of the shared work:
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .data import CandidateSpace, PointSet, grid_values
 from .errors import ConfigError, ShapeError
-from .metrics import count_loss, eligible_pairs, greedy_pairs
+from .metrics import DetectionReport, count_loss, eligible_pairs, greedy_pairs
 
 
 @dataclass(frozen=True)
@@ -154,11 +156,13 @@ def fit_encoder(
     truths: list[PointSet],
     space: EncoderSpace,
     match_tolerance: float,
-) -> tuple[EncoderParams, list[tuple[EncoderParams, float]]]:
+) -> tuple[EncoderParams, list[tuple[EncoderParams, float]], DetectionReport]:
     """Exhaustive fit: mean detection loss per candidate across samples.
 
-    Returns the minimizer (earliest candidate on ties) and the full
-    per-candidate loss table for audit.
+    Returns the minimizer (earliest candidate on ties), the full
+    per-candidate loss table for audit, and the minimizer's micro-averaged
+    report over the samples: the counts the fit matched exactly, so it
+    equals `report` of the minimizer's encoded maps.
     """
     if len(predicted_maps) != len(truths):
         raise ShapeError(f"{len(predicted_maps)} maps vs {len(truths)} truths")
@@ -168,7 +172,7 @@ def fit_encoder(
     by_separation: dict[float, list[int]] = {}
     for index, c in enumerate(space.candidates):
         by_separation.setdefault(c.min_separation, []).append(index)
-    losses: list[list[float]] = [[] for _ in space.candidates]
+    counts: list[list[tuple[int, int, int]]] = [[] for _ in space.candidates]  # (tp, fp, fn) per map
     for t, truth in zip(predicted_maps, truths):
         peaks = _peaks(t, lowest)
         for separation, indices in by_separation.items():
@@ -179,8 +183,12 @@ def fit_encoder(
                 # The candidate's points are the kept prefix at or above its threshold.
                 k = int(np.count_nonzero(kept_values >= space.candidates[index].threshold))
                 tp = len(greedy_pairs(eligible, k))
-                losses[index].append(count_loss(tp, k - tp, len(truth) - tp))
-    table = [(c, float(sum(per_map) / len(per_map))) for c, per_map in zip(space.candidates, losses)]
+                counts[index].append((tp, k - tp, len(truth) - tp))
+    table = [
+        (c, float(sum(count_loss(*m) for m in per_map) / len(per_map)))
+        for c, per_map in zip(space.candidates, counts)
+    ]
     # min() returns the first of equal minima: the earliest candidate wins ties.
-    best, _ = min(table, key=lambda row: row[1])
-    return best, table
+    best = min(range(len(table)), key=lambda i: table[i][1])
+    tp, fp, fn = (sum(column) for column in zip(*counts[best]))
+    return table[best][0], table, DetectionReport.from_counts(tp, fp, fn, match_tolerance)

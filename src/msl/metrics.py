@@ -44,6 +44,12 @@ class DetectionReport:
     fn: int
     tau: float
 
+    @classmethod
+    def from_counts(cls, tp: int, fp: int, fn: int, tau: float) -> "DetectionReport":
+        """The report of pooled matching counts under tolerance tau."""
+        precision, recall, f1 = _rates(tp, fp, fn)
+        return cls(precision=precision, recall=recall, f1=f1, loss=1.0 - f1, tp=tp, fp=fp, fn=fn, tau=float(tau))
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -127,14 +133,4 @@ def report(g_list: list[PointSet], g_star_list: list[PointSet], tau: float) -> D
         tp += m.tp
         fp += m.fp
         fn += m.fn
-    precision, recall, f1 = _rates(tp, fp, fn)
-    return DetectionReport(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        loss=1.0 - f1,
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        tau=float(tau),
-    )
+    return DetectionReport.from_counts(tp, fp, fn, tau)

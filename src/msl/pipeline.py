@@ -2,9 +2,11 @@
 
 learn: decode train targets under fixed decoder params, train the
 inferrer on them, then fit the encoder on the validation split's
-predicted maps. loop: restart learn for every decoder candidate and keep
-the one with the lowest validation detection loss. test: run a Predictor
-(inferrer, then encoder) only; ground truth and decoder are never touched.
+predicted maps; the fit's exact counts for its chosen parameters are the
+validation report, so the split is scored once. loop: restart learn for
+every decoder candidate and keep the one with the lowest validation
+detection loss. test: run a Predictor (inferrer, then encoder) over the
+split in one pass; ground truth and decoder are never touched.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .data import Dataset
 from .decoder import DecoderParams, DecoderSpace, decode
 from .encoder import EncoderParams, EncoderSpace, encode, fit_encoder
 from .errors import DivergenceError, LoopFailureError
-from . import inferrer
 from .inferrer import Architecture, InferrerParams, TrainConfig, infer_maps, train
 from .metrics import DetectionReport, report
 from .seeds import derive_seed
@@ -85,10 +86,7 @@ def learn(
 
     val_maps = infer_maps([s.lattice for s in val_split.samples], result.params)
     val_truths = [s.truth for s in val_split.samples]
-    encoder_params, table = fit_encoder(val_maps, val_truths, encoder_space, match_tolerance)
-
-    predictions = [encode(t, encoder_params) for t in val_maps]
-    val_report = report(predictions, val_truths, match_tolerance)
+    encoder_params, table, val_report = fit_encoder(val_maps, val_truths, encoder_space, match_tolerance)
     return LearnedSolution(
         decoder_params=decoder_params,
         inferrer_params=result.params,
@@ -156,18 +154,12 @@ def test(test_split: Dataset, predictor: Predictor | LoopResult, match_tolerance
     """Evaluate a predictor on held-out samples.
 
     A LoopResult stands for its selected solution. Only the inferrer and
-    encoder run; the decoder is not invoked.
+    encoder run, over the whole split at once; the decoder is not invoked.
     """
     if isinstance(predictor, LoopResult):
         predictor = predictor.selected
-    lattices = [s.lattice for s in test_split.samples]
-    # Maps are inferred in blocks of about inferrer._PREFETCH_BYTES, so
-    # that memory stays bounded however many samples there are.
-    per_block = max(1, inferrer._PREFETCH_BYTES // lattices[0].values.nbytes) if lattices else 1
-    predictions = []
-    for start in range(0, len(lattices), per_block):
-        maps = infer_maps(lattices[start : start + per_block], predictor.inferrer_params)
-        predictions += [encode(m, predictor.encoder_params) for m in maps]
+    maps = infer_maps([s.lattice for s in test_split.samples], predictor.inferrer_params)
+    predictions = [encode(m, predictor.encoder_params) for m in maps]
     return report(predictions, [s.truth for s in test_split.samples], match_tolerance)
 
 

@@ -1,4 +1,4 @@
-"""Session fixtures.
+"""Shared fixtures.
 
 The standard-benchmark loop takes a few minutes, so it runs at most once
 per session and is shared by every test that needs its results.
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import msl.decoder
 from msl.cli import ExperimentConfig, load_config
 from msl.data import Dataset, generate_dataset, split
 from msl.pipeline import LoopResult, loop
@@ -55,3 +56,22 @@ def benchmark_run() -> BenchmarkRun:
         result=result,
         loop_seconds=seconds,
     )
+
+
+@pytest.fixture
+def decode_calls(monkeypatch) -> list[str]:
+    """Names of the decoder variants run while the test runs, in call order.
+
+    `decode` looks both variants up as module globals of msl.decoder, so
+    wrapping them there sees every decode in the package (in this process).
+    """
+    calls: list[str] = []
+    for name in ("decode_careless", "decode_careful"):
+        original = getattr(msl.decoder, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(msl.decoder, name, counted)
+    return calls

@@ -9,13 +9,7 @@ import numpy as np
 
 from msl.cli import main
 from msl.data import PointSet, SynthConfig, generate_dataset, split
-from msl.decoder import (
-    DecoderParams,
-    decode_call_count,
-    decode_careful,
-    decoder_grid,
-    reset_decode_call_count,
-)
+from msl.decoder import DecoderParams, decode_careful, decoder_grid
 from msl.encoder import EncoderParams, encode, encoder_grid, fit_encoder
 from msl.inferrer import Architecture, InferrerParams, TrainConfig, gradient, infer
 from msl.metrics import detection_loss, match, report
@@ -145,7 +139,7 @@ def test_criterion_4_argmin_contracts(benchmark_run):
         maps.append(np.clip(target.values + rng.normal(0, 0.07, size=(16, 16)), 0, 1))
         truths.append(pts)
     space = encoder_grid([0.2, 0.4, 0.6, 0.8], [2.0, 3.0])
-    best, table = fit_encoder(maps, truths, space, 2.0)
+    best, table, _ = fit_encoder(maps, truths, space, 2.0)
     recomputed = []
     for params, tabulated in table:
         value = sum(detection_loss(encode(m, params), t, 2.0) for m, t in zip(maps, truths)) / len(maps)
@@ -243,7 +237,7 @@ def test_criterion_6_byte_identical_reruns(tmp_path):
           f"({len(binaries)} binary artifacts compared)")
 
 
-def test_criterion_7_decoder_coupling_and_test_isolation(tmp_path):
+def test_criterion_7_decoder_coupling_and_test_isolation(tmp_path, decode_calls):
     # Distinct sigmas must give distinct stored target maps on non-empty truth.
     truth = PointSet(np.array([[7.3, 5.1], [17.6, 12.2]]))
     maps = {
@@ -260,9 +254,9 @@ def test_criterion_7_decoder_coupling_and_test_isolation(tmp_path):
     assert main(["gen", "--config", str(cfg_path)]) == 0
     assert main(["loop", "--config", str(cfg_path)]) == 0
     run = Path(cfg["out_dir"]) / "loop"
-    reset_decode_call_count()
+    decode_calls.clear()
     assert main(["test", "--run", str(run)]) == 0
-    calls = decode_call_count()
+    calls = len(decode_calls)
     assert calls == 0
     report_payload = json.loads((run / "test_report.json").read_text())
     assert set(report_payload) >= {"precision", "recall", "f1", "loss", "tp", "fp", "fn", "tau"}

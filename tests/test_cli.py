@@ -2,15 +2,17 @@ import csv
 import json
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import msl.cli
 from msl import inferrer, storage
 from msl.cli import load_config, main
 from msl.data import split
-from msl.decoder import decode_call_count, reset_decode_call_count
 from msl.encoder import EncoderParams
+from msl.errors import MissingArtifactError
 from msl.pipeline import Predictor, learn, test
 
 from helpers import (
@@ -51,6 +53,14 @@ class TestGen:
             assert main(["gen", "--config", str(cfg_path)]) == 2
             err = capsys.readouterr().err
             assert "config error" in err and "seed" in err
+
+    def test_split_fractions_that_learn_refuses_are_refused(self, tmp_path, capsys):
+        cfg = small_config_dict(str(tmp_path / "exp"))
+        cfg["synth"]["fractions"] = [0.5, 0.5, 0.5]
+        cfg_path = write_config(tmp_path / "config.json", cfg)
+        assert main(["gen", "--config", str(cfg_path)]) == 2
+        assert "split fractions must sum to 1" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         root, cfg_path, cfg = workspace
@@ -131,6 +141,15 @@ class TestLoop:
         assert main(["loop", "--config", str(cfg_path), "--out", str(w4), "--workers", "4"]) == 0
         assert_dirs_identical(w1, w4)
 
+    def test_workers_below_one_refused(self, workspace, tmp_path, capsys):
+        root, cfg_path, cfg = workspace
+        for workers in ("0", "-3"):
+            out = tmp_path / f"workers{workers}"
+            assert main(["loop", "--config", str(cfg_path), "--out", str(out), "--workers", workers]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "--workers" in err
+            assert not out.exists()
+
 
 class TestTest:
     def test_report_schema(self, workspace):
@@ -167,6 +186,24 @@ class TestTest:
             assert main([command, "--run", str(out)]) == 1
             assert "manifest.json" in capsys.readouterr().err
 
+    def test_interrupted_rerun_refused(self, workspace, tmp_path, capsys, monkeypatch):
+        root, cfg_path, cfg = workspace
+        out = tmp_path / "rerun"
+        assert main(["learn", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+        def killed(*args, **kwargs):
+            raise RuntimeError("killed partway")
+
+        monkeypatch.setattr(msl.cli, "learn", killed)
+        assert main(["learn", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not (out / "manifest.json").exists()
+        capsys.readouterr()
+        for command in ("test", "report"):
+            assert main([command, "--run", str(out)]) == 1
+            assert "has no manifest.json" in capsys.readouterr().err
+            with pytest.raises(MissingArtifactError):
+                getattr(msl.cli, f"cmd_{command}")(SimpleNamespace(run=str(out), data=None))
+
     def test_dataset_of_another_size_or_seed_refused(self, workspace, tmp_path, capsys):
         root, cfg_path, cfg = workspace
         run = Path(cfg["out_dir"]) / "loop"
@@ -191,12 +228,11 @@ class TestTest:
         assert "has n 40" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_no_decoder_invocation_during_test(self, workspace):
+    def test_no_decoder_invocation_during_test(self, workspace, decode_calls):
         root, _, cfg = workspace
         run = Path(cfg["out_dir"]) / "loop"
-        reset_decode_call_count()
         assert main(["test", "--run", str(run)]) == 0
-        assert decode_call_count() == 0
+        assert decode_calls == []
 
 
 class TestReport:
@@ -255,6 +291,20 @@ class TestConfigValidation:
             assert main(["gen", "--config", str(cfg_path)]) == 2
             err = capsys.readouterr().err
             assert "config error" in err and field in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["metrics.match_tolerance", "inferrer.learning_rate", "synth.blob_radius", "synth.noise_std"]
+    )
+    def test_non_finite_float_names_field(self, tmp_path, capsys, field, value):
+        cfg = small_config_dict(str(tmp_path / "exp"))
+        section, key = field.split(".")
+        cfg[section][key] = value
+        cfg_path = write_config(tmp_path / "config.json", cfg)
+        assert main(["gen", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not (tmp_path / "exp").exists()
 
     def test_unknown_decoder_flag_rejected(self, workspace, tmp_path, capsys):
         root, cfg_path, cfg = workspace

@@ -8,7 +8,7 @@ from msl.data import PointSet
 from msl.decoder import DecoderParams, decode_careful
 from msl.encoder import EncoderParams, EncoderSpace, encode, encoder_grid, fit_encoder
 from msl.errors import ConfigError
-from msl.metrics import detection_loss
+from msl.metrics import detection_loss, report
 
 from oracles import encode_reference, greedy_match_reference
 
@@ -163,7 +163,7 @@ class TestFit:
         rng = np.random.default_rng(13)
         maps, truths = self.make_maps(rng)
         space = encoder_grid([0.5], [2.0])
-        best, table = fit_encoder(maps, truths, space, 2.0)
+        best, table, _ = fit_encoder(maps, truths, space, 2.0)
         assert best == space.candidates[0]
         assert len(table) == 1
 
@@ -171,7 +171,7 @@ class TestFit:
         rng = np.random.default_rng(14)
         maps, truths = self.make_maps(rng)
         space = encoder_grid([0.2, 0.4, 0.6, 0.8], [2.0, 3.0])
-        best, table = fit_encoder(maps, truths, space, 2.0)
+        best, table, _ = fit_encoder(maps, truths, space, 2.0)
         best_loss = dict((p, l) for p, l in table)[best]
         assert all(best_loss <= loss for _, loss in table)
         first_argmin = min(range(len(table)), key=lambda i: (table[i][1], i))
@@ -182,7 +182,7 @@ class TestFit:
         maps = [random_map(rng, quantized=True) for _ in range(8)]
         truths = [PointSet(rng.uniform(0, 15, size=(int(rng.integers(0, 6)), 2))) for _ in maps]
         space = encoder_grid([0.1, 0.25, 0.5, 0.75, 0.9], [1.0, 2.0, 4.0])
-        _, table = fit_encoder(maps, truths, space, 2.0)
+        best, table, fit_report = fit_encoder(maps, truths, space, 2.0)
         expected = []
         for params in space.candidates:
             losses = [
@@ -193,6 +193,7 @@ class TestFit:
             ]
             expected.append((params, float(sum(losses) / len(losses))))
         assert table == expected
+        assert fit_report == report([encode(m, best) for m in maps], truths, 2.0)
 
     def test_table_matches_references_on_shuffled_grid_and_empty_cases(self):
         rng = np.random.default_rng(17)
@@ -206,7 +207,7 @@ class TestFit:
         truths[1] = truths[-1] = PointSet.empty()
         # A grid in no sorted order on either factor.
         space = encoder_grid([0.5, 0.1, 0.9, 0.25], [4.0, 1.0, 2.0])
-        _, table = fit_encoder(maps, truths, space, 2.0)
+        best, table, fit_report = fit_encoder(maps, truths, space, 2.0)
         expected = []
         for params in space.candidates:
             losses = []
@@ -217,6 +218,7 @@ class TestFit:
                 losses.append(1.0 - (1.0 if denom == 0 else 2 * tp / denom))
             expected.append((params, float(sum(losses) / len(losses))))
         assert table == expected
+        assert fit_report == report([encode(m, best) for m in maps], truths, 2.0)
 
     def test_one_separation_pass_per_map_and_separation(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -239,7 +241,7 @@ class TestFit:
         rng = np.random.default_rng(15)
         maps, truths = self.make_maps(rng)
         space = encoder_grid([0.3, 0.6], [2.0, 4.0])
-        _, table = fit_encoder(maps, truths, space, 2.0)
+        _, table, _ = fit_encoder(maps, truths, space, 2.0)
         for params, tabulated in table:
             recomputed = sum(
                 detection_loss(encode(m, params), t, 2.0) for m, t in zip(maps, truths)

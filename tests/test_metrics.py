@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from msl.data import PointSet
 from msl.encoder import encoder_grid, fit_encoder
 from msl.errors import ShapeError
-from msl.metrics import detection_loss, match, report
+from msl.metrics import DetectionReport, detection_loss, match, report
 
 from oracles import greedy_match_reference, optimal_tp
 
@@ -194,6 +194,12 @@ class TestReport:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             report([PointSet.empty()], [], 1.0)
+
+    def test_from_counts_is_the_report_of_those_counts(self):
+        assert DetectionReport.from_counts(0, 0, 0, 2) == report([PointSet.empty()], [PointSet.empty()], 2.0)
+        rep = DetectionReport.from_counts(1, 1, 1, 1.0)
+        assert (rep.precision, rep.recall, rep.f1, rep.loss) == (0.5, 0.5, 0.5, 0.5)
+        assert isinstance(DetectionReport.from_counts(0, 0, 0, 2).tau, float)
 
     def test_json_fields(self):
         rep = report([PointSet.empty()], [PointSet.empty()], 2.5)

@@ -66,6 +66,18 @@ class TestLearn:
         assert len(sol.encoder_table) == len(enc_space)
         assert sol.epoch_losses.shape[0] == cfg.epochs
 
+    def test_validation_report_comes_from_the_fit(self, monkeypatch):
+        tr, va, te, arch, cfg, _, enc_space, tau = small_world()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("learn scored the validation split a second time")
+
+        monkeypatch.setattr(msl.pipeline, "encode", refuse)
+        monkeypatch.setattr(msl.pipeline, "report", refuse)
+        sol = learn(tr, va, DecoderParams.careful(1.5, 4.5), arch, cfg, enc_space, tau)
+        rep = sol.validation_report
+        assert rep.tp + rep.fn == sum(len(s.truth) for s in va.samples)
+
 
 class TestLoop:
     def test_single_candidate_selected(self):
@@ -122,6 +134,8 @@ class TestTest:
     def test_on_validation_split_reproduces_stored_report(self):
         tr, va, te, arch, cfg, _, enc_space, tau = small_world()
         sol = learn(tr, va, DecoderParams.careful(1.5, 4.5), arch, cfg, enc_space, tau)
+        # The stored report holds the encoder fit's counts; test() scores the
+        # split again through infer_maps, encode and report.
         rep = test(va, sol, tau)
         assert rep == sol.validation_report
 
@@ -140,21 +154,19 @@ class TestTest:
         assert test(te, sel, tau) == rep_from_loop
         assert test(te, Predictor(sel.inferrer_params, sel.encoder_params), tau) == rep_from_loop
 
-    def test_blocked_two_thread_inference_gives_the_per_sample_report(self, monkeypatch):
+    def test_infers_the_split_in_one_call(self, monkeypatch):
         tr, va, te, arch, cfg, _, enc_space, tau = small_world()
         sol = learn(tr, va, DecoderParams.careful(1.5, 4.5), arch, cfg, enc_space, tau)
-        # The 24 training scenes of 24x24 as the held-out split, in blocks of 5 maps.
-        monkeypatch.setattr(msl.inferrer, "_PREFETCH_BYTES", 5 * 24 * 24 * 8 + 1)
-        blocks = []
+        calls = []
         infer_maps = msl.pipeline.infer_maps
 
         def counted(lattices, params):
-            blocks.append(len(lattices))
+            calls.append(len(lattices))
             return infer_maps(lattices, params)
 
         monkeypatch.setattr(msl.pipeline, "infer_maps", counted)
         got = test(tr, sol, tau)
-        assert blocks == [5, 5, 5, 5, 4]
+        assert calls == [tr.n]
         preds = [encode(infer(s.lattice, sol.inferrer_params), sol.encoder_params) for s in tr.samples]
         assert got == report(preds, [s.truth for s in tr.samples], tau)
 
