@@ -60,7 +60,10 @@ class ExperimentConfig:
 
 
 def _finite(value) -> float:
-    """float() that refuses NaN and the infinities."""
+    """float() that refuses what it would silently change: true or "2",
+    NaN and the infinities."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(value)
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(value)
@@ -293,18 +296,17 @@ def cmd_learn(args) -> int:
 
 def cmd_loop(args) -> int:
     started = time.perf_counter()
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = load_config(Path(args.config))
     data_dir = Path(args.data) if args.data else Path(cfg.out_dir) / "dataset"
     train_split, val_split, _ = _load_splits(cfg, data_dir)
     run_dir = Path(args.out) if args.out else Path(cfg.out_dir) / "loop"
-    _fresh_run_dir(run_dir)
     log.info("loop: %d candidates, %d workers", len(cfg.decoder_space), args.workers)
     result = loop(
         train_split, val_split, cfg.decoder_space, cfg.arch, cfg.train_cfg,
         cfg.encoder_space, cfg.match_tolerance, workers=args.workers,
     )
+    # Only now, so that a refused or failed loop leaves an earlier run whole.
+    _fresh_run_dir(run_dir)
 
     artifacts: list[str] = []
     candidates = []

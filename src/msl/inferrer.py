@@ -11,25 +11,39 @@ Training runs in float32 end to end: lattices, targets, weights, the
 learning rate and every step. That halves the memory the minibatch
 gather moves and runs the matmuls and tanh at single precision, and
 the trained weights are exactly the float32 values that model.msl1
-stores, so a reloaded model is the trained one, bit for bit. `_step`
-and `gradient` follow the dtype of their inputs, so the gradient check
-still runs the same code in float64. Inference stays float64: `infer`
-upcasts the float32 weights and computes on the lattice as given, so a
-predicted map carries no rounding beyond the weights' own.
+stores, so a reloaded model is the trained one, bit for bit. `gradient`
+computes in the dtype that numpy promotes its inputs to, so the
+gradient check still runs the same code in float64. Inference stays
+float64: `infer` upcasts the float32 weights and computes on the
+lattice as given, so a predicted map carries no rounding beyond the
+weights' own.
 
-`infer_maps` infers a list of lattices on two threads: the caller
-computes the first half while one worker thread computes the second.
-Both run the per-lattice kernel that `infer` runs, so each map is
-`infer`'s bit for bit. Each thread is meant to use one BLAS thread:
-importing msl sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS to 1 unless they are set, which takes effect only if
-msl is imported before numpy.
+The kernels write their intermediates into a workspace (`_Workspace`)
+instead of fresh arrays. `train` owns one for the whole run; `gradient`
+and `infer` make one per call, so they run the same code.
+
+`infer_maps` infers a list of lattices on two threads, the caller and
+one worker. It hands the lattices out in pieces of about
+`_PIECE_PIXELS` pixels, taken in order from a shared counter under a
+lock, and each thread writes into a workspace of its own. Both run the
+per-lattice kernel that `infer` runs, so each map is `infer`'s bit for
+bit. Given `then`, the caller applies it to the maps in input order as
+they are finished, and infers the next unclaimed piece itself whenever
+the next map is not ready; `pipeline.test` encodes that way while the
+worker still infers. `then`, like every msl name, runs on the calling
+thread only: the worker runs numpy alone, since a tracer may rebind msl
+names to single-threaded span recorders. Each thread is meant to use one
+BLAS thread: importing msl sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS to 1 unless they are set, which takes effect only
+if msl is imported before numpy.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -47,6 +61,14 @@ from .storage import read_json, read_msl1, write_json, write_msl1
 # and on a shared two-core machine their latency made training time swing
 # from run to run. At most two hand-offs' minibatches are held at once.
 _PREFETCH_BYTES = 4 << 20
+
+# Pixels of lattices that `infer_maps` hands to a thread at a time. Each
+# piece costs a hand-off (a lock, an event, a thread wake-up), which small
+# maps feel: `pipeline.test` ran 100 maps of 32x32 at 2267 image/s with one
+# lattice a piece and at 2613 with pieces of this size, while on 100 dense
+# maps of 64x64 (8 a piece) the two were even (962 and 977). Medians of 36
+# chunks each, in-process on a shared two-core x86-64 machine.
+_PIECE_PIXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -156,27 +178,60 @@ def init_params(arch: Architecture, seed: int) -> InferrerParams:
     )
 
 
-def _forward(w1, b1, w2, b2, patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hidden = np.tanh(patches @ w1.T + b1)
-    pred = hidden @ w2 + b2
-    return pred, hidden
+class _Workspace:
+    """Arrays that one thread's kernels write into instead of fresh ones.
+
+    `array(name, shape, dtype)` returns the array last made under `name`
+    when its shape and dtype match, and makes a new one otherwise, so a
+    thread that runs one shape over and over allocates once. A workspace
+    belongs to one thread.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        array = self._arrays.get(name)
+        if array is None or array.shape != shape or array.dtype != dtype:
+            array = self._arrays[name] = np.empty(shape, dtype)
+        return array
 
 
-def _step(w1, b1, w2, b2, patches: np.ndarray, targets: np.ndarray):
+def _forward(w1, b1, w2, b2, patches: np.ndarray, pred: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """pred = tanh(patches @ w1.T + b1) @ w2 + b2, written into `pred`; the
+    hidden layer is written into ws's "hidden" array and returned. Every
+    operand is of w1's dtype."""
+    hidden = ws.array("hidden", (patches.shape[0], w1.shape[0]), w1.dtype)
+    np.matmul(patches, w1.T, out=hidden)
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, w2, out=pred)
+    pred += b2
+    return hidden
+
+
+def _step(w1, b1, w2, b2, patches: np.ndarray, targets: np.ndarray, ws: _Workspace):
     """Minibatch mean squared error and its exact gradient, computed in
-    the dtype that numpy promotes the inputs to.
+    the one dtype of every input, with the intermediates written into ws.
 
     Returns (loss, (g_w1, g_b1, g_w2, g_b2)) with the shapes of the
-    parameters; g_b2 is a numpy scalar.
+    parameters, as fresh arrays; g_b2 is a numpy scalar.
     """
-    pred, hidden = _forward(w1, b1, w2, b2, patches)
-    diff = pred - targets
-    loss = float(np.mean(diff * diff))
-    residual = (2.0 / targets.shape[0]) * diff
-    d_hidden = np.outer(residual, w2) * (1.0 - hidden * hidden)
+    batch, units, dtype = patches.shape[0], w1.shape[0], w1.dtype
+    pred = ws.array("pred", (batch,), dtype)
+    hidden = _forward(w1, b1, w2, b2, patches, pred, ws)
+    diff = np.subtract(pred, targets, out=ws.array("diff", (batch,), dtype))
+    # pred is not read again: it takes the squared errors.
+    loss = float(np.mean(np.multiply(diff, diff, out=pred)))
+    residual = np.multiply(2.0 / batch, diff, out=diff)
+    g_w2 = hidden.T @ residual
+    # hidden is not read again: it takes the slope 1 - hidden**2.
+    slope = np.multiply(hidden, hidden, out=hidden)
+    np.subtract(1.0, slope, out=slope)
+    d_hidden = np.outer(residual, w2, out=ws.array("d_hidden", (batch, units), dtype))
+    d_hidden *= slope
     g_w1 = d_hidden.T @ patches
     g_b1 = d_hidden.sum(axis=0)
-    g_w2 = hidden.T @ residual
     g_b2 = residual.sum()
     return loss, (g_w1, g_b1, g_w2, g_b2)
 
@@ -205,39 +260,112 @@ def _lattice_values(lattice) -> np.ndarray:
     return values
 
 
-def _predict(values: np.ndarray, c: int, weights: tuple) -> np.ndarray:
-    """One lattice's map. numpy only: it also runs on `infer_maps`' worker
-    thread, where no msl name may be called, since a tracer may rebind
-    those to single-threaded span recorders."""
+def _predict(values: np.ndarray, c: int, weights: tuple, ws: _Workspace) -> np.ndarray:
+    """One lattice's map, with the patch matrix and hidden layer written
+    into ws. numpy only: it also runs on `infer_maps`' worker thread,
+    where no msl name may be called, since a tracer may rebind those to
+    single-threaded span recorders."""
     w1, b1, w2, b2 = weights
-    patches = _windows(values, c).reshape(values.size, w1.shape[1])
-    pred, _ = _forward(w1, b1, w2, b2, patches)
-    return pred.reshape(values.shape)
+    side = 2 * c + 1
+    patches = ws.array("patches", (values.size, w1.shape[1]), w1.dtype)
+    np.copyto(patches.reshape(values.shape + (side, side)), _windows(values, c))
+    pred = np.empty(values.shape, w1.dtype)
+    _forward(w1, b1, w2, b2, patches, pred.reshape(values.size), ws)
+    return pred
 
 
 def infer(lattice, params: InferrerParams) -> np.ndarray:
     """Predicted float64 target map for a lattice; raw values may exit [0, 1]."""
     c, weights = _weights(params)
-    return _predict(_lattice_values(lattice), c, weights)
+    return _predict(_lattice_values(lattice), c, weights, _Workspace())
 
 
-def infer_maps(lattices, params: InferrerParams) -> list[np.ndarray]:
-    """`infer` of every lattice, in order, bit for bit, on two threads.
+def _pieces(values: list[np.ndarray]) -> list[range]:
+    """Consecutive runs of lattice indices, each closed once it holds at
+    least `_PIECE_PIXELS` pixels."""
+    pieces, start, pixels = [], 0, 0
+    for i, v in enumerate(values):
+        pixels += v.size
+        if pixels >= _PIECE_PIXELS:
+            pieces.append(range(start, i + 1))
+            start, pixels = i + 1, 0
+    if start < len(values):
+        pieces.append(range(start, len(values)))
+    return pieces
+
+
+def infer_maps(lattices, params: InferrerParams, then=None) -> list:
+    """`infer` of every lattice, bit for bit, on two threads; with `then`,
+    `then(map)` of every map instead. Both come in input order.
 
     Every lattice is checked and the weights upcast on the calling thread
-    first. Then one worker thread computes the second half of the maps
-    while the caller computes the first; it has exited when this returns
-    or raises.
+    first. The lattices are then handed out in pieces (`_pieces`), taken
+    in order from a shared counter by the caller and by one worker
+    thread. The caller applies `then` to the maps in order as they are
+    finished, and infers the next unclaimed piece itself whenever the
+    next map is not ready. The worker has exited when this returns or
+    raises; a failure on either thread reaches the caller.
     """
     c, weights = _weights(params)
     values = [_lattice_values(lattice) for lattice in lattices]
-    half = (len(values) + 1) // 2
-    if half == len(values):
-        return [_predict(v, c, weights) for v in values]
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        second = pool.submit(lambda: [_predict(v, c, weights) for v in values[half:]])
-        first = [_predict(v, c, weights) for v in values[:half]]
-        return first + second.result()
+    pieces = _pieces(values)
+    maps: list = [None] * len(values)
+    finished = [threading.Event() for _ in pieces]
+    lock = threading.Lock()
+    claimed = 0
+
+    def claim() -> int | None:
+        # The next unclaimed piece, or None once every piece is claimed.
+        nonlocal claimed
+        with lock:
+            if claimed == len(pieces):
+                return None
+            claimed += 1
+            return claimed - 1
+
+    def stop() -> None:
+        # No piece is handed out after this.
+        nonlocal claimed
+        with lock:
+            claimed = len(pieces)
+
+    def run(piece: int, ws: _Workspace) -> None:
+        for i in pieces[piece]:
+            maps[i] = _predict(values[i], c, weights, ws)
+        finished[piece].set()
+
+    def work() -> None:
+        # The worker thread: numpy and threading only, no msl name.
+        ws = _Workspace()
+        while (piece := claim()) is not None:
+            run(piece, ws)
+
+    def abandon(_future) -> None:
+        # Once the worker has exited, for whatever reason, no wait for one
+        # of its pieces can block, and after a failure the caller starts
+        # no further piece before it raises.
+        stop()
+        for event in finished:
+            event.set()
+
+    ws = _Workspace()
+    with ThreadPoolExecutor(max_workers=1) if len(pieces) > 1 else nullcontext() as pool:
+        if pool is not None:
+            worker = pool.submit(work)
+            worker.add_done_callback(abandon)
+        try:
+            for piece, indices in enumerate(pieces):
+                while not finished[piece].is_set() and (mine := claim()) is not None:
+                    run(mine, ws)
+                finished[piece].wait()
+                if pool is not None and worker.done():
+                    worker.result()  # raises the worker's failure, if any
+                if then is not None:
+                    for i in indices:
+                        maps[i] = then(maps[i])
+        finally:
+            stop()
+    return maps
 
 
 def gradient(
@@ -256,7 +384,10 @@ def gradient(
         raise ShapeError("minibatch must be non-empty")
     if patches.shape[1] != params.input_dim:
         raise ShapeError(f"patch dim {patches.shape[1]} does not match architecture {params.input_dim}")
-    _, grads = _step(params.w1, params.b1, params.w2, params.b2, patches, targets)
+    dtype = np.result_type(params.w1, patches, targets)
+    arrays = (params.w1, params.b1, params.w2, patches, targets)
+    w1, b1, w2, patches, targets = (a.astype(dtype, copy=False) for a in arrays)
+    _, grads = _step(w1, b1, w2, dtype.type(params.b2), patches, targets, _Workspace())
     return grads
 
 
@@ -273,8 +404,9 @@ def train(
     sampling use sub-seeds of cfg.seed. One worker thread draws and
     gathers the next few minibatches (about `_PREFETCH_BYTES` of them)
     while the current ones compute; it has exited when this returns or
-    raises. Lattices and targets are rounded to float32 once; the
-    returned parameters are float32.
+    raises. Every step writes into one workspace that lasts the run.
+    Lattices and targets are rounded to float32 once; the returned
+    parameters are float32.
     """
     if not train_lattices:
         raise ConfigError("training requires at least one lattice")
@@ -313,6 +445,7 @@ def train(
         return batches
 
     w1, b1, w2, b2 = params.w1.copy(), params.b1.copy(), params.w2.copy(), params.b2
+    ws = _Workspace()
     learning_rate = np.float32(cfg.learning_rate)
     step_losses = np.empty(n_steps)
     # The next per_hand_off minibatches are drawn and gathered while the
@@ -331,7 +464,7 @@ def train(
                 pending = pool.submit(draw, min(per_hand_off, n_steps - drawn))
             for patches, batch_targets in batches:
                 patches = patches.reshape(cfg.batch_pixels, arch.input_dim)
-                loss, (g_w1, g_b1, g_w2, g_b2) = _step(w1, b1, w2, b2, patches, batch_targets)
+                loss, (g_w1, g_b1, g_w2, g_b2) = _step(w1, b1, w2, b2, patches, batch_targets, ws)
                 if not math.isfinite(loss):
                     raise DivergenceError(f"non-finite training loss at step {step}")
                 step_losses[step] = loss

@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .decoder import DecoderParams, DecoderSpace, decode
 from .encoder import EncoderParams, EncoderSpace, encode, fit_encoder
-from .errors import DivergenceError, LoopFailureError
+from .errors import ConfigError, DivergenceError, LoopFailureError
 from .inferrer import Architecture, InferrerParams, TrainConfig, infer_maps, train
 from .metrics import DetectionReport, report
 from .seeds import derive_seed
@@ -130,8 +130,11 @@ def loop(
 
     Each candidate trains under its own sub-seed of train_cfg.seed, so
     the result does not depend on worker count or evaluation order.
-    Diverged candidates stay in the table as failed entries.
+    Diverged candidates stay in the table as failed entries. Fewer than
+    one worker is a ConfigError.
     """
+    if workers < 1:
+        raise ConfigError(f"workers (msl loop --workers) must be at least 1, got {workers}")
     jobs = [
         (i, candidate, train_split, val_split, arch, train_cfg, encoder_space, match_tolerance)
         for i, candidate in enumerate(decoder_space.candidates)
@@ -154,12 +157,16 @@ def test(test_split: Dataset, predictor: Predictor | LoopResult, match_tolerance
     """Evaluate a predictor on held-out samples.
 
     A LoopResult stands for its selected solution. Only the inferrer and
-    encoder run, over the whole split at once; the decoder is not invoked.
+    encoder run, over the whole split at once, and each map is encoded
+    while later ones are still inferred; the decoder is not invoked.
     """
     if isinstance(predictor, LoopResult):
         predictor = predictor.selected
-    maps = infer_maps([s.lattice for s in test_split.samples], predictor.inferrer_params)
-    predictions = [encode(m, predictor.encoder_params) for m in maps]
+    predictions = infer_maps(
+        [s.lattice for s in test_split.samples],
+        predictor.inferrer_params,
+        then=lambda m: encode(m, predictor.encoder_params),
+    )
     return report(predictions, [s.truth for s in test_split.samples], match_tolerance)
 
 

@@ -1,9 +1,36 @@
-"""Shared test utilities: small experiment configs and run comparisons."""
+"""Shared test utilities: small experiment configs, run comparisons and a
+time bound for tests of code that starts threads."""
 
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
+
+# Seconds a thread-lifetime test may take before it counts as a deadlock.
+# Each of them runs in well under a second.
+THREAD_TEST_SECONDS = 5.0
+
+
+def run_bounded(fn, seconds: float = THREAD_TEST_SECONDS):
+    """fn() on a daemon thread, joined with a timeout: a deadlock fails the
+    test instead of stalling the suite. fn's exception, if any, is raised
+    here, and so is its result returned."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = fn()
+        except BaseException as exc:  # handed to the test's thread below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{getattr(fn, '__name__', fn)} did not finish within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome.get("result")
 
 
 def small_config_dict(out_dir: str, **overrides) -> dict:

@@ -306,6 +306,18 @@ class TestConfigValidation:
         assert "config error" in err and field in err
         assert not (tmp_path / "exp").exists()
 
+    @pytest.mark.parametrize("value", [True, False, "2", "0.5"])
+    @pytest.mark.parametrize("field", ["metrics.match_tolerance", "synth.blob_radius", "decoder.radius_multiplier"])
+    def test_bool_or_string_float_names_field(self, tmp_path, capsys, field, value):
+        cfg = small_config_dict(str(tmp_path / "exp"))
+        section, key = field.split(".")
+        cfg[section][key] = value
+        cfg_path = write_config(tmp_path / "config.json", cfg)
+        assert main(["gen", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not (tmp_path / "exp").exists()
+
     def test_unknown_decoder_flag_rejected(self, workspace, tmp_path, capsys):
         root, cfg_path, cfg = workspace
         for flag in ("bogus", "careful:abc", "careful:nan", "careful:inf"):

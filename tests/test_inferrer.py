@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msl.data import ImageLattice, generate_dataset, SynthConfig
 from msl.decoder import DecoderParams, TargetMap, decode_careful
@@ -23,6 +25,7 @@ from msl.inferrer import (
 from msl import inferrer
 from msl.seeds import derive_seed, make_rng
 
+from helpers import run_bounded
 from oracles import fd_gradient, forward_reference, mse_reference
 
 
@@ -177,25 +180,154 @@ class TestInferMaps:
         rng = np.random.default_rng(45)
         params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
         lattices = self.lattices(6, rng)
-        before = threading.active_count()
-        inferrer.infer_maps(lattices, params)
-        assert threading.active_count() == before
-        with pytest.raises(ShapeError):
-            inferrer.infer_maps(lattices + [np.ones(3)], params)
-        assert threading.active_count() == before
+        # One lattice a piece, so that the worker thread takes part.
+        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 1)
 
-        # A failure on the worker thread reaches the caller once it has exited.
-        predict = inferrer._predict
-
-        def failing(values, c, weights):
-            if values.shape == lattices[-1].values.shape:
-                raise MemoryError("out of memory on the last lattice")
-            return predict(values, c, weights)
-
-        monkeypatch.setattr(inferrer, "_predict", failing)
-        with pytest.raises(MemoryError, match="last lattice"):
+        def body():
+            before = threading.active_count()
             inferrer.infer_maps(lattices, params)
-        assert threading.active_count() == before
+            assert threading.active_count() == before
+            with pytest.raises(ShapeError):
+                inferrer.infer_maps(lattices + [np.ones(3)], params)
+            assert threading.active_count() == before
+
+            def failing_then(m):
+                raise ValueError("then failed")
+
+            with pytest.raises(ValueError, match="then failed"):
+                inferrer.infer_maps(lattices, params, then=failing_then)
+            assert threading.active_count() == before
+
+            # A failure on either thread reaches the caller once the worker has exited.
+            predict = inferrer._predict
+
+            def failing(values, c, weights, ws):
+                if values.shape == lattices[-1].values.shape:
+                    raise MemoryError("out of memory on the last lattice")
+                return predict(values, c, weights, ws)
+
+            monkeypatch.setattr(inferrer, "_predict", failing)
+            with pytest.raises(MemoryError, match="last lattice"):
+                inferrer.infer_maps(lattices, params)
+            assert threading.active_count() == before
+
+        run_bounded(body)
+
+    def test_worker_failure_on_its_first_piece_reaches_the_caller(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
+        lattices = self.lattices(6, rng)
+        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 1)
+        predict = inferrer._predict
+        worker_failed = threading.Event()
+
+        def body():
+            caller = threading.current_thread()
+
+            def failing(values, c, weights, ws):
+                if threading.current_thread() is caller:
+                    # Hold the caller's first piece until the worker has
+                    # failed on one of its own.
+                    worker_failed.wait(5.0)
+                    return predict(values, c, weights, ws)
+                worker_failed.set()
+                raise MemoryError("out of memory on the worker's first piece")
+
+            monkeypatch.setattr(inferrer, "_predict", failing)
+            before = threading.active_count()
+            with pytest.raises(MemoryError, match="worker's first piece"):
+                inferrer.infer_maps(lattices, params, then=lambda m: m.sum())
+            assert worker_failed.is_set()
+            assert threading.active_count() == before
+
+        run_bounded(body)
+
+    @pytest.mark.parametrize("piece_pixels", [None, 1, 150])
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_then_runs_once_per_map_in_input_order_on_the_calling_thread(self, monkeypatch, piece_pixels, n):
+        # The default piece holds all n lattices; 1 and 150 pixels make
+        # pieces of one and of about two lattices.
+        if piece_pixels is not None:
+            monkeypatch.setattr(inferrer, "_PIECE_PIXELS", piece_pixels)
+        rng = np.random.default_rng(47 + n)
+        params = random_params(Architecture(context_radius=2, hidden_units=5), rng)
+        lattices = self.lattices(n, rng)
+        expected = [infer(l, params) for l in lattices]
+
+        def body():
+            caller = threading.current_thread()
+            seen = []
+
+            def then(m):
+                assert threading.current_thread() is caller
+                seen.append(m)
+                return len(seen) - 1
+
+            assert inferrer.infer_maps(lattices, params, then=then) == list(range(n))
+            assert len(seen) == n
+            for got, want in zip(seen, expected):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            maps = inferrer.infer_maps(lattices, params)
+            assert [m.tobytes() for m in maps] == [m.tobytes() for m in expected]
+
+        run_bounded(body)
+
+    def test_pieces_hold_about_a_fixed_number_of_pixels(self, monkeypatch):
+        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 100)
+        values = [np.zeros(shape) for shape in [(5, 5)] * 5 + [(20, 20), (3, 3), (1, 1)]]
+        assert inferrer._pieces(values) == [range(0, 4), range(4, 6), range(6, 8)]
+        assert inferrer._pieces([]) == []
+
+
+def expression_step(w1, b1, w2, b2, patches, targets):
+    """The step as fresh-array expressions: what `_step` computes, in the
+    same order of operations."""
+    hidden = np.tanh(patches @ w1.T + b1)
+    pred = hidden @ w2 + b2
+    diff = pred - targets
+    loss = float(np.mean(diff * diff))
+    residual = (2.0 / targets.shape[0]) * diff
+    d_hidden = np.outer(residual, w2) * (1.0 - hidden * hidden)
+    return loss, (d_hidden.T @ patches, d_hidden.sum(axis=0), hidden.T @ residual, residual.sum())
+
+
+class TestStepWorkspace:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        batch=st.sampled_from([1, 4096]),
+        units=st.sampled_from([1, 32]),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=3),
+        zero_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_reused_workspace_equals_a_fresh_one(self, dtype, batch, units, seeds, zero_fraction):
+        dim = 9
+        ws = inferrer._Workspace()
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            w1 = rng.uniform(-1, 1, size=(units, dim)).astype(dtype)
+            b1 = rng.uniform(-1, 1, size=units).astype(dtype)
+            w2 = rng.uniform(-1, 1, size=units).astype(dtype)
+            b2 = dtype(rng.uniform(-1, 1))
+            patches = rng.uniform(0, 1, size=(batch, dim)).astype(dtype)
+            # Zeroed patches and weights make exact zeros (signed ones too)
+            # in the hidden layer, the residual and the gradient.
+            patches[rng.uniform(size=batch) < zero_fraction] = 0.0
+            if zero_fraction == 1.0:
+                w1[:] = 0.0
+                b1[:] = 0.0
+            targets = rng.uniform(0, 1, size=batch).astype(dtype)
+            if zero_fraction == 1.0:
+                targets[:] = np.tanh(b1) @ w2 + b2
+            reused = _step(w1, b1, w2, b2, patches, targets, ws)
+            fresh = _step(w1, b1, w2, b2, patches, targets, inferrer._Workspace())
+            expected = expression_step(w1, b1, w2, b2, patches, targets)
+            for got in (reused, fresh):
+                assert got[0] == expected[0] or (math.isnan(got[0]) and math.isnan(expected[0]))
+                for g, e in zip(got[1], expected[1]):
+                    assert np.asarray(g).dtype == np.asarray(e).dtype == dtype
+                    assert np.asarray(g).tobytes() == np.asarray(e).tobytes()
 
 
 def map_loss(params: InferrerParams, values, target) -> float:
@@ -209,7 +341,7 @@ def map_loss(params: InferrerParams, values, target) -> float:
             for x in range(width)
         ]
     )
-    loss, _ = _step(params.w1, params.b1, params.w2, params.b2, patches, np.asarray(target).ravel())
+    loss, _ = _step(params.w1, params.b1, params.w2, params.b2, patches, np.asarray(target).ravel(), inferrer._Workspace())
     return loss
 
 
@@ -517,12 +649,16 @@ class TestTrain:
     def test_no_thread_outlives_train(self):
         lattices, targets = small_training_set()
         arch = Architecture(context_radius=1, hidden_units=4)
-        before = threading.active_count()
-        train(lattices, targets, arch, TrainConfig(epochs=2, learning_rate=0.01, batch_pixels=64, seed=26))
-        assert threading.active_count() == before
-        with pytest.raises(DivergenceError):
-            train(lattices, targets, arch, TrainConfig(epochs=5, learning_rate=1e8, batch_pixels=64, seed=24))
-        assert threading.active_count() == before
+
+        def body():
+            before = threading.active_count()
+            train(lattices, targets, arch, TrainConfig(epochs=2, learning_rate=0.01, batch_pixels=64, seed=26))
+            assert threading.active_count() == before
+            with pytest.raises(DivergenceError):
+                train(lattices, targets, arch, TrainConfig(epochs=5, learning_rate=1e8, batch_pixels=64, seed=24))
+            assert threading.active_count() == before
+
+        run_bounded(body)
 
     def test_mismatched_shapes_rejected(self):
         lattices, targets = small_training_set()

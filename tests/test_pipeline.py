@@ -5,7 +5,7 @@ import msl.pipeline
 from msl.data import SynthConfig, generate_dataset, split
 from msl.decoder import DecoderParams, DecoderSpace, decoder_grid
 from msl.encoder import encoder_grid
-from msl.errors import DivergenceError, LoopFailureError
+from msl.errors import ConfigError, DivergenceError, LoopFailureError
 from msl.inferrer import Architecture, TrainConfig, infer, init_params, train
 from msl.encoder import encode
 from msl.metrics import report
@@ -129,6 +129,17 @@ class TestLoop:
         with pytest.raises(LoopFailureError):
             loop(tr, va, dec_space, arch, cfg, enc_space, tau, workers=1)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_refused_before_learning(self, monkeypatch, workers):
+        tr, va, te, arch, cfg, dec_space, enc_space, tau = small_world()
+
+        def never(*args, **kwargs):
+            raise AssertionError("a candidate was learned")
+
+        monkeypatch.setattr(msl.pipeline, "learn", never)
+        with pytest.raises(ConfigError, match=f"workers .* at least 1, got {workers}"):
+            loop(tr, va, dec_space, arch, cfg, enc_space, tau, workers=workers)
+
 
 class TestTest:
     def test_on_validation_split_reproduces_stored_report(self):
@@ -160,9 +171,9 @@ class TestTest:
         calls = []
         infer_maps = msl.pipeline.infer_maps
 
-        def counted(lattices, params):
+        def counted(lattices, params, then=None):
             calls.append(len(lattices))
-            return infer_maps(lattices, params)
+            return infer_maps(lattices, params, then=then)
 
         monkeypatch.setattr(msl.pipeline, "infer_maps", counted)
         got = test(tr, sol, tau)
