@@ -30,7 +30,7 @@ from .errors import ConfigError, MissingArtifactError
 from .inferrer import Architecture, TrainConfig, load_model, save_model
 from .pipeline import LearnedSolution, Predictor, learn, loop, test
 from .seeds import derive_seed
-from .storage import load_dataset, read_json, save_dataset, write_json
+from .storage import load_dataset, read_json, reading, save_dataset, write_json
 
 log = logging.getLogger("msl")
 
@@ -368,9 +368,10 @@ def cmd_test(args) -> int:
     for name in ("model.json", "model.msl1", "encoder_params.json"):
         if not (sol_dir / name).exists():
             raise MissingArtifactError(f"missing artifact: {sol_dir / name}")
-    predictor = Predictor(
-        load_model(sol_dir)[2], EncoderParams.from_json_dict(read_json(sol_dir / "encoder_params.json"))
-    )
+    encoder_path = sol_dir / "encoder_params.json"
+    with reading(encoder_path):
+        encoder_params = EncoderParams.from_json_dict(read_json(encoder_path))
+    predictor = Predictor(load_model(sol_dir)[2], encoder_params)
 
     data_dir = Path(args.data) if args.data else Path(cfg.out_dir) / "dataset"
     _, _, test_split = _load_splits(cfg, data_dir)

@@ -25,12 +25,15 @@ and `infer` make one per call, so they run the same code.
 `infer_maps` infers a list of lattices on two threads, the caller and
 one worker. It hands the lattices out in pieces of about
 `_PIECE_PIXELS` pixels, taken in order from a shared counter under a
-lock, and each thread writes into a workspace of its own. Both run the
-per-lattice kernel that `infer` runs, so each map is `infer`'s bit for
-bit. Given `then`, the caller applies it to the maps in input order as
-they are finished, and infers the next unclaimed piece itself whenever
-the next map is not ready; `pipeline.test` encodes that way while the
-worker still infers. `then`, like every msl name, runs on the calling
+lock; each thread runs `infer`'s kernel in a workspace of its own, so
+each map is `infer`'s bit for bit. Each piece's maps land in a future
+of their own, which the caller reads in input order, applying `then` to
+them, and whenever the next future is not done the caller infers the
+next unclaimed piece itself: `pipeline.test` encodes that way while the
+worker still infers. A worker failure is set on its piece's future and
+the worker exits, so the caller raises it on reaching that piece; a
+failure on the caller's thread cancels the futures not yet started, so
+the worker stops too. `then`, like every msl name, runs on the calling
 thread only: the worker runs numpy alone, since a tracer may rebind msl
 names to single-threaded span recorders. Each thread is meant to use one
 BLAS thread: importing msl sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
@@ -42,8 +45,7 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -52,9 +54,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import ImageLattice, grid_values
 from .decoder import TargetMap
-from .errors import ConfigError, DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError, FormatError, ShapeError
 from .seeds import derive_seed, make_rng
-from .storage import read_json, read_msl1, write_json, write_msl1
+from .storage import read_json, read_msl1, reading, write_json, write_msl1
 
 # Bytes of minibatches that `train`'s worker thread draws and gathers per
 # hand-off. One minibatch per hand-off cost two thread wake-ups a step,
@@ -63,7 +65,7 @@ from .storage import read_json, read_msl1, write_json, write_msl1
 _PREFETCH_BYTES = 4 << 20
 
 # Pixels of lattices that `infer_maps` hands to a thread at a time. Each
-# piece costs a hand-off (a lock, an event, a thread wake-up), which small
+# piece costs a hand-off (a lock, a future, a thread wake-up), which small
 # maps feel: `pipeline.test` ran 100 maps of 32x32 at 2267 image/s with one
 # lattice a piece and at 2613 with pieces of this size, while on 100 dense
 # maps of 64x64 (8 a piece) the two were even (962 and 977). Medians of 36
@@ -301,16 +303,19 @@ def infer_maps(lattices, params: InferrerParams, then=None) -> list:
     Every lattice is checked and the weights upcast on the calling thread
     first. The lattices are then handed out in pieces (`_pieces`), taken
     in order from a shared counter by the caller and by one worker
-    thread. The caller applies `then` to the maps in order as they are
-    finished, and infers the next unclaimed piece itself whenever the
-    next map is not ready. The worker has exited when this returns or
-    raises; a failure on either thread reaches the caller.
+    thread, and each piece's maps land in a future of its own. The caller
+    reads the futures in order, applying `then` to each piece's maps, and
+    infers the next unclaimed piece itself whenever the next future is
+    not done. A worker failure is set on the future of the piece where it
+    happened, and the worker then exits; reading that future raises it.
+    A failure on the caller's thread cancels the futures of the pieces not
+    yet started, and the worker exits at the first of them. The worker has
+    exited when this returns or raises.
     """
     c, weights = _weights(params)
     values = [_lattice_values(lattice) for lattice in lattices]
     pieces = _pieces(values)
-    maps: list = [None] * len(values)
-    finished = [threading.Event() for _ in pieces]
+    done = [Future() for _ in pieces]
     lock = threading.Lock()
     claimed = 0
 
@@ -323,48 +328,35 @@ def infer_maps(lattices, params: InferrerParams, then=None) -> list:
             claimed += 1
             return claimed - 1
 
-    def stop() -> None:
-        # No piece is handed out after this.
-        nonlocal claimed
-        with lock:
-            claimed = len(pieces)
-
     def run(piece: int, ws: _Workspace) -> None:
-        for i in pieces[piece]:
-            maps[i] = _predict(values[i], c, weights, ws)
-        finished[piece].set()
+        done[piece].set_result([_predict(values[i], c, weights, ws) for i in pieces[piece]])
 
     def work() -> None:
         # The worker thread: numpy and threading only, no msl name.
         ws = _Workspace()
-        while (piece := claim()) is not None:
-            run(piece, ws)
-
-    def abandon(_future) -> None:
-        # Once the worker has exited, for whatever reason, no wait for one
-        # of its pieces can block, and after a failure the caller starts
-        # no further piece before it raises.
-        stop()
-        for event in finished:
-            event.set()
+        while (piece := claim()) is not None and done[piece].set_running_or_notify_cancel():
+            try:
+                run(piece, ws)
+            except BaseException as exc:  # raised on the caller by result()
+                done[piece].set_exception(exc)
+                return
 
     ws = _Workspace()
-    with ThreadPoolExecutor(max_workers=1) if len(pieces) > 1 else nullcontext() as pool:
-        if pool is not None:
-            worker = pool.submit(work)
-            worker.add_done_callback(abandon)
+    maps = []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(work)
         try:
-            for piece, indices in enumerate(pieces):
-                while not finished[piece].is_set() and (mine := claim()) is not None:
-                    run(mine, ws)
-                finished[piece].wait()
-                if pool is not None and worker.done():
-                    worker.result()  # raises the worker's failure, if any
-                if then is not None:
-                    for i in indices:
-                        maps[i] = then(maps[i])
+            for k in range(len(pieces)):
+                while not done[k].done() and (piece := claim()) is not None:
+                    run(piece, ws)
+                piece_maps = done[k].result()
+                # Drop the future, so that raw maps die once `then` has consumed them.
+                done[k] = None
+                maps.extend(piece_maps if then is None else map(then, piece_maps))
         finally:
-            stop()
+            # After a failure here, the worker starts no further piece.
+            for future in filter(None, done):
+                future.cancel()
     return maps
 
 
@@ -495,27 +487,30 @@ def save_model(directory: Path, arch: Architecture, cfg: TrainConfig, params: In
 
 
 def load_model(directory: Path) -> tuple[Architecture, TrainConfig, InferrerParams]:
-    """Read a model directory back; the parameters are float32, as stored."""
+    """Read a model directory back; the parameters are float32, as stored.
+    A missing key or a bad value is a FormatError naming its file."""
     directory = Path(directory)
-    meta = read_json(directory / "model.json")
-    arch = Architecture(
-        context_radius=int(meta["architecture"]["context_radius"]),
-        hidden_units=int(meta["architecture"]["hidden_units"]),
-    )
-    tc = meta["train_config"]
-    cfg = TrainConfig(
-        epochs=int(tc["epochs"]),
-        learning_rate=float(tc["learning_rate"]),
-        batch_pixels=int(tc["batch_pixels"]),
-        seed=int(tc["seed"]),
-    )
-    flat = read_msl1(directory / "model.msl1").ravel().astype(np.float32)
+    meta_path, dump_path = directory / "model.json", directory / "model.msl1"
+    with reading(meta_path):
+        meta = read_json(meta_path)
+        arch = Architecture(
+            context_radius=int(meta["architecture"]["context_radius"]),
+            hidden_units=int(meta["architecture"]["hidden_units"]),
+        )
+        tc = meta["train_config"]
+        cfg = TrainConfig(
+            epochs=int(tc["epochs"]),
+            learning_rate=float(tc["learning_rate"]),
+            batch_pixels=int(tc["batch_pixels"]),
+            seed=int(tc["seed"]),
+        )
+    flat = read_msl1(dump_path).ravel().astype(np.float32)
     expected = arch.hidden_units * arch.input_dim + 2 * arch.hidden_units + 1
     if flat.shape[0] != expected:
-        raise ShapeError(f"model dump has {flat.shape[0]} values, architecture expects {expected}")
+        raise FormatError(f"{dump_path}: {flat.shape[0]} values, architecture expects {expected}")
     n1 = arch.hidden_units * arch.input_dim
     w1 = flat[:n1].reshape(arch.hidden_units, arch.input_dim)
     b1 = flat[n1 : n1 + arch.hidden_units]
     w2 = flat[n1 + arch.hidden_units : n1 + 2 * arch.hidden_units]
-    b2 = flat[-1]
-    return arch, cfg, InferrerParams(w1=w1, b1=b1, w2=w2, b2=b2)
+    with reading(dump_path):
+        return arch, cfg, InferrerParams(w1=w1, b1=b1, w2=w2, b2=flat[-1])

@@ -228,6 +228,41 @@ class TestTest:
         assert "has n 40" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_corrupt_artifact_is_a_format_error_naming_its_file(self, workspace, tmp_path, capsys):
+        # A corrupt artifact exits 1 and names its file: it is no config
+        # error, and no bare KeyError or ValueError.
+        root, cfg_path, cfg = workspace
+        learned = tmp_path / "learned"
+        assert main(["learn", "--config", str(cfg_path), "--out", str(learned)]) == 0
+
+        def edited(edit):
+            def corrupt(path):
+                obj = json.loads(path.read_text())
+                edit(obj)
+                path.write_text(json.dumps(obj))
+
+            return corrupt
+
+        def non_finite(path):
+            flat = storage.read_msl1(path)
+            flat[0, 0] = np.inf
+            storage.write_msl1(path, flat)
+
+        corruptions = [
+            ("model.json", edited(lambda o: o.pop("architecture"))),
+            ("model.msl1", non_finite),
+            ("encoder_params.json", edited(lambda o: o.update(threshold=1.5))),
+            ("encoder_params.json", edited(lambda o: o.pop("threshold"))),
+        ]
+        capsys.readouterr()
+        for case, (name, corrupt) in enumerate(corruptions):
+            run = tmp_path / f"case{case}"
+            shutil.copytree(learned, run)
+            corrupt(run / name)
+            assert main(["test", "--run", str(run)]) == 1, name
+            err = capsys.readouterr().err
+            assert f"FormatError: {run / name}: " in err, err
+
     def test_no_decoder_invocation_during_test(self, workspace, decode_calls):
         root, _, cfg = workspace
         run = Path(cfg["out_dir"]) / "loop"

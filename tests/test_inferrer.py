@@ -1,6 +1,8 @@
 import math
 import sys
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -180,11 +182,15 @@ class TestInferMaps:
         rng = np.random.default_rng(45)
         params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
         lattices = self.lattices(6, rng)
-        # One lattice a piece, so that the worker thread takes part.
-        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 1)
 
         def body():
             before = threading.active_count()
+            # One lattice at the default piece size is one piece, which the
+            # worker is started for too.
+            inferrer.infer_maps(lattices[:1], params)
+            assert threading.active_count() == before
+            # One lattice a piece, so that the worker thread takes part.
+            monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 1)
             inferrer.infer_maps(lattices, params)
             assert threading.active_count() == before
             with pytest.raises(ShapeError):
@@ -242,11 +248,43 @@ class TestInferMaps:
 
         run_bounded(body)
 
+    def test_caller_failure_stops_the_worker(self, monkeypatch):
+        # `then` fails on the first map while every lattice takes 5 ms. The
+        # worker starts no further piece after that, so a handful of the 40
+        # one-lattice pieces are started (3 to 5 in 40 tries), not all 40.
+        rng = np.random.default_rng(50)
+        params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
+        lattices = self.lattices(40, rng)
+        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 1)
+        predict = inferrer._predict
+        started = []
+
+        def slow(values, c, weights, ws):
+            started.append(values.shape)
+            time.sleep(0.005)
+            return predict(values, c, weights, ws)
+
+        def failing_then(m):
+            raise ValueError("then failed")
+
+        def body():
+            with pytest.raises(ValueError, match="then failed"):
+                inferrer.infer_maps(lattices, params, then=failing_then)
+
+        monkeypatch.setattr(inferrer, "_predict", slow)
+        run_bounded(body)
+        assert len(started) < 10
+
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6])
     @pytest.mark.parametrize("piece_pixels", [None, 1, 150])
     @pytest.mark.parametrize("n", [1, 3, 9])
-    def test_then_runs_once_per_map_in_input_order_on_the_calling_thread(self, monkeypatch, piece_pixels, n):
+    def test_then_runs_once_per_map_in_input_order_on_the_calling_thread(
+        self, monkeypatch, piece_pixels, n, switch_interval
+    ):
         # The default piece holds all n lattices; 1 and 150 pixels make
-        # pieces of one and of about two lattices.
+        # pieces of one and of about two lattices. Thread switches every
+        # microsecond interleave the two threads' claims at many more points
+        # than the default 5 ms.
         if piece_pixels is not None:
             monkeypatch.setattr(inferrer, "_PIECE_PIXELS", piece_pixels)
         rng = np.random.default_rng(47 + n)
@@ -271,7 +309,35 @@ class TestInferMaps:
             maps = inferrer.infer_maps(lattices, params)
             assert [m.tobytes() for m in maps] == [m.tobytes() for m in expected]
 
-        run_bounded(body)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(switch_interval or interval)
+        try:
+            run_bounded(body)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_raw_maps_die_once_then_has_consumed_their_piece(self, monkeypatch):
+        # Pieces of about two lattices. When `then` first sees a map of
+        # piece k + 1, no raw map of pieces 0..k may still be held.
+        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 150)
+        rng = np.random.default_rng(49)
+        params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
+        lattices = self.lattices(9, rng)
+        pieces = inferrer._pieces([l.values for l in lattices])
+        assert len(pieces) > 2
+        piece_of = {i: k for k, piece in enumerate(pieces) for i in piece}
+        seen = []
+
+        def then(m):
+            k = piece_of[len(seen)]
+            if seen and piece_of[len(seen) - 1] != k:
+                assert [ref() for ref, j in seen if j < k] == [None] * pieces[k].start
+            seen.append((weakref.ref(m), k))
+            return m.shape
+
+        shapes = run_bounded(lambda: inferrer.infer_maps(lattices, params, then=then))
+        assert shapes == [l.values.shape for l in lattices]
+        assert len(seen) == len(lattices)
 
     def test_pieces_hold_about_a_fixed_number_of_pixels(self, monkeypatch):
         monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 100)

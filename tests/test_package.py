@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -28,3 +29,18 @@ def test_import_pins_blas_threads_unless_set(given, expected):
     code = f"import os, msl; print(*(os.environ[v] for v in {variables!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == [expected, "1", "1"]
+
+
+def test_numpy_is_the_only_import_outside_the_standard_library():
+    allowed = sys.stdlib_module_names | {"numpy"}
+    outside = set()
+    for path in sorted((SRC / "msl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside |= {f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed}
+    assert outside == set()
