@@ -4,6 +4,8 @@ encode maps back into points; an outer loop searches the decoder space.
 """
 
 import os
+import sys
+import warnings
 
 __version__ = "0.1.0"
 
@@ -12,10 +14,17 @@ __version__ = "0.1.0"
 # inherit the environment. One BLAS thread per msl thread keeps them from
 # contending for BLAS's own pool. BLAS reads these once, when numpy is
 # first imported, so the pin takes effect only if msl is imported before
-# numpy; a value the user set is kept.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-del _var
+# numpy, and a warning says so otherwise; a value the user set is kept.
+_unset = [v for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS") if v not in os.environ]
+os.environ.update(dict.fromkeys(_unset, "1"))
+if _unset and "numpy" in sys.modules:
+    warnings.warn(
+        f"msl set {', '.join(_unset)} to 1 after numpy was imported, so BLAS keeps its own thread "
+        "count and may contend with msl's threads; import msl before numpy, or set these variables "
+        "before starting Python",
+        RuntimeWarning,
+    )
+del _unset
 
 from .data import (
     Dataset,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PlacementError
+from .errors import ConfigError, PlacementError, ShapeError
 from .seeds import derive_seed, make_rng
 
 PLACEMENT_ATTEMPTS = 10_000
@@ -21,16 +21,13 @@ PLACEMENT_ATTEMPTS = 10_000
 
 @dataclass(frozen=True, eq=False)
 class UnitGrid:
-    """Finite, non-empty W×H grid of float64 values in [0, 1]."""
+    """Finite, non-empty W×H grid of float64 values in [0, 1]; its shape
+    is checked by `grid_values`."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError("grid values must be 2-D (height, width)")
-        if v.size == 0:
-            raise ValueError("grid must be non-empty")
+        v = grid_values(self.values)
         if not np.all(np.isfinite(v)):
             raise ValueError("grid values must be finite")
         if float(v.min()) < 0.0 or float(v.max()) > 1.0:
@@ -56,8 +53,15 @@ class ImageLattice(UnitGrid):
 
 
 def grid_values(grid) -> np.ndarray:
-    """The values of a UnitGrid, or any other array-like as float64."""
-    return grid.values if isinstance(grid, UnitGrid) else np.asarray(grid, dtype=np.float64)
+    """The values of a UnitGrid, checked when it was built, or any other
+    array-like as float64 (a float64 array is not copied), which must be
+    non-empty and 2-D (height, width): the one shape check of every grid."""
+    if isinstance(grid, UnitGrid):
+        return grid.values
+    values = np.asarray(grid, dtype=np.float64)
+    if values.ndim != 2 or values.size == 0:
+        raise ShapeError(f"a grid must be a non-empty 2-D array, got shape {values.shape}")
+    return values
 
 
 @dataclass(frozen=True)

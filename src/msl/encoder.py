@@ -54,13 +54,6 @@ class EncoderSpace(CandidateSpace):
     """Ordered, duplicate-free EncoderParams candidates for the encoder fit."""
 
 
-def _as_map(t) -> np.ndarray:
-    values = grid_values(t)
-    if values.ndim != 2:
-        raise ShapeError("predicted map must be 2-D")
-    return values
-
-
 def _window_max(values: np.ndarray) -> np.ndarray:
     """Max over the 3x3 window of each pixel, clipped at the borders, taken
     along rows and then along columns. NaN anywhere in a window gives NaN."""
@@ -83,7 +76,7 @@ def _peaks(t, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order of the others as it was: the result is the prefix of all peaks,
     sorted, that is >= floor.
     """
-    values = np.clip(_as_map(t), 0.0, 1.0)
+    values = np.clip(grid_values(t), 0.0, 1.0)
     ys, xs = np.nonzero(values >= np.maximum(_window_max(values), floor))
     peak_values = values[ys, xs]
     # np.nonzero lists peaks in row-major order, which a stable sort keeps for ties.
@@ -131,9 +124,10 @@ def _pixels(peaks: tuple[np.ndarray, np.ndarray, np.ndarray], kept: np.ndarray) 
 def encode(t, params: EncoderParams) -> PointSet:
     """Thresholded peak extraction with greedy separation suppression.
 
-    Steps: clamp the map to [0, 1]; keep pixels that are >= all 8
-    neighbours and >= threshold; order by descending value with row-major
-    index as the tie-break; greedily keep points at distance >=
+    Steps: check the map's shape (`grid_values`: a ShapeError unless it
+    is non-empty and 2-D); clamp it to [0, 1]; keep pixels that are >=
+    all 8 neighbours and >= threshold; order by descending value with
+    row-major index as the tie-break; greedily keep points at distance >=
     min_separation from everything kept so far.
     """
     peaks = _peaks(t, params.threshold)

@@ -255,13 +255,6 @@ def _weights(params: InferrerParams) -> tuple[int, tuple]:
     return (side - 1) // 2, (w1, b1, w2, np.float64(params.b2))
 
 
-def _lattice_values(lattice) -> np.ndarray:
-    values = grid_values(lattice)
-    if values.ndim != 2 or values.size == 0:
-        raise ShapeError(f"a lattice must be a non-empty 2-D grid, got shape {values.shape}")
-    return values
-
-
 def _predict(values: np.ndarray, c: int, weights: tuple, ws: _Workspace) -> np.ndarray:
     """One lattice's map, with the patch matrix and hidden layer written
     into ws. numpy only: it also runs on `infer_maps`' worker thread,
@@ -279,7 +272,7 @@ def _predict(values: np.ndarray, c: int, weights: tuple, ws: _Workspace) -> np.n
 def infer(lattice, params: InferrerParams) -> np.ndarray:
     """Predicted float64 target map for a lattice; raw values may exit [0, 1]."""
     c, weights = _weights(params)
-    return _predict(_lattice_values(lattice), c, weights, _Workspace())
+    return _predict(grid_values(lattice), c, weights, _Workspace())
 
 
 def _pieces(values: list[np.ndarray]) -> list[range]:
@@ -300,20 +293,21 @@ def infer_maps(lattices, params: InferrerParams, then=None) -> list:
     """`infer` of every lattice, bit for bit, on two threads; with `then`,
     `then(map)` of every map instead. Both come in input order.
 
-    Every lattice is checked and the weights upcast on the calling thread
-    first. The lattices are then handed out in pieces (`_pieces`), taken
-    in order from a shared counter by the caller and by one worker
-    thread, and each piece's maps land in a future of its own. The caller
-    reads the futures in order, applying `then` to each piece's maps, and
-    infers the next unclaimed piece itself whenever the next future is
-    not done. A worker failure is set on the future of the piece where it
-    happened, and the worker then exits; reading that future raises it.
-    A failure on the caller's thread cancels the futures of the pieces not
-    yet started, and the worker exits at the first of them. The worker has
-    exited when this returns or raises.
+    Every lattice's shape is checked (`grid_values`) and the weights
+    upcast on the calling thread first. The lattices are then handed out
+    in pieces (`_pieces`), taken in order from a shared counter by the
+    caller and by one worker thread, and each piece's maps land in a
+    future of its own. The caller reads the futures in order, applying
+    `then` to each piece's maps, and infers the next unclaimed piece
+    itself whenever the next future is not done. A worker failure is set
+    on the future of the piece where it happened, and the worker then
+    exits; reading that future raises it. A failure on the caller's thread
+    cancels the futures of the pieces not yet started, and the worker
+    exits at the first of them. The worker has exited when this returns or
+    raises.
     """
     c, weights = _weights(params)
-    values = [_lattice_values(lattice) for lattice in lattices]
+    values = [grid_values(lattice) for lattice in lattices]
     pieces = _pieces(values)
     done = [Future() for _ in pieces]
     lock = threading.Lock()

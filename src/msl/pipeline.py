@@ -80,7 +80,7 @@ def learn(
     match_tolerance: float,
 ) -> LearnedSolution:
     if train_split.n == 0 or val_split.n == 0:
-        raise ValueError("train and validation splits must be non-empty")
+        raise ConfigError("train and validation splits must be non-empty")
     targets = [decode(s.truth, s.lattice.shape, decoder_params) for s in train_split.samples]
     result = train([s.lattice for s in train_split.samples], targets, arch, train_cfg)
 

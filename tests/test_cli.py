@@ -278,7 +278,8 @@ class TestReport:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         first_row = lines[1]
         assert first_row.lstrip().startswith("*")
-        rows = list(csv.reader((run / "report.csv").open()))
+        with (run / "report.csv").open() as f:
+            rows = list(csv.reader(f))
         results = json.loads((run / "results.json").read_text())
         assert len(rows) - 1 == len(results["candidates"])
 
@@ -287,7 +288,8 @@ class TestReport:
         out = tmp_path / "single"
         assert main(["learn", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["report", "--run", str(out)]) == 0
-        rows = list(csv.reader((out / "report.csv").open()))
+        with (out / "report.csv").open() as f:
+            rows = list(csv.reader(f))
         assert len(rows) == 2  # header + one row
 
 

@@ -11,9 +11,12 @@ from msl.data import (
     SynthConfig,
     generate_dataset,
     generate_sample,
+    grid_values,
     split,
 )
-from msl.errors import ConfigError, PlacementError
+from msl.encoder import EncoderParams, encode, encoder_grid, fit_encoder
+from msl.errors import ConfigError, PlacementError, ShapeError
+from msl.inferrer import Architecture, infer, init_params
 from msl.seeds import make_rng
 
 from oracles import blob_field_reference
@@ -57,6 +60,23 @@ class TestTypes:
     def test_sample_rejects_out_of_bounds_truth(self):
         with pytest.raises(ValueError):
             Sample(lattice=ImageLattice(np.zeros((4, 4))), truth=PointSet(np.array([[5.0, 1.0]])))
+
+
+# Every reader of a lattice or map checks its shape through grid_values.
+GRID_READERS = {
+    "grid_values": grid_values,
+    "ImageLattice": ImageLattice,
+    "infer": lambda grid: infer(grid, init_params(Architecture(context_radius=1, hidden_units=3), 0)),
+    "encode": lambda grid: encode(grid, EncoderParams(threshold=0.5, min_separation=2.0)),
+    "fit_encoder": lambda grid: fit_encoder([grid], [PointSet.empty()], encoder_grid([0.5], [2.0]), 2.0),
+}
+
+
+@pytest.mark.parametrize("read", GRID_READERS.values(), ids=GRID_READERS.keys())
+@pytest.mark.parametrize("bad", [np.ones(5), np.ones((2, 3, 3)), np.ones((0, 4))], ids=["1-D", "3-D", "empty"])
+def test_a_grid_that_is_not_non_empty_2d_is_a_shape_error(read, bad):
+    with pytest.raises(ShapeError, match="2-D"):
+        read(bad)
 
 
 class TestSynthConfig:

@@ -19,16 +19,26 @@ def test_every_export_resolves():
     assert set(msl.__all__) <= set(namespace)
 
 
-@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
-def test_import_pins_blas_threads_unless_set(given, expected):
+@pytest.mark.parametrize(
+    "given, expected, first, warned",
+    [(None, "1", "", False), ("3", "3", "", False), (None, "1", "numpy, ", True)],
+    ids=["unset", "set", "numpy-imported-first"],
+)
+def test_import_pins_blas_threads_unless_set(given, expected, first, warned):
     variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in variables}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if given is not None:
         env["OPENBLAS_NUM_THREADS"] = given
-    code = f"import os, msl; print(*(os.environ[v] for v in {variables!r}))"
+    code = f"import {first}os, msl; print(*(os.environ[v] for v in {variables!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == [expected, "1", "1"]
+    if warned:
+        # One warning, naming every variable that msl set too late.
+        assert out.stderr.count("RuntimeWarning") == 1
+        assert all(v in out.stderr for v in variables)
+    else:
+        assert out.stderr == ""
 
 
 def test_numpy_is_the_only_import_outside_the_standard_library():

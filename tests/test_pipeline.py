@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import msl.pipeline
-from msl.data import SynthConfig, generate_dataset, split
+from msl.data import Dataset, SynthConfig, generate_dataset, split
 from msl.decoder import DecoderParams, DecoderSpace, decoder_grid
 from msl.encoder import encoder_grid
 from msl.errors import ConfigError, DivergenceError, LoopFailureError
@@ -47,6 +47,16 @@ class TestLearn:
         initial = init_params(arch, derive_seed(cfg.seed, 0))
         assert np.array_equal(sol.inferrer_params.w1, initial.w1)
         assert sol.encoder_params == space.candidates[0]
+
+    def test_empty_split_is_a_config_error_before_training(self, monkeypatch):
+        tr, _, _, arch, cfg, _, enc_space, tau = small_world()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train was called")
+
+        monkeypatch.setattr(msl.pipeline, "train", no_training)
+        with pytest.raises(ConfigError, match="non-empty"):
+            learn(tr, Dataset(()), DecoderParams.careful(1.5, 4.5), arch, cfg, enc_space, tau)
 
     def test_determinism(self):
         tr, va, te, arch, cfg, _, enc_space, tau = small_world()
