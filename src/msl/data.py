@@ -147,6 +147,10 @@ class SynthConfig:
     Blobs are isotropic bumps ``amplitude * exp(-d^2 / (2 (radius/2)^2))``
     truncated at 3*radius; overlaps add per pixel, then zero-mean Gaussian
     noise is added and the result is clipped to [0, 1].
+
+    Every float knob must be finite: blob_amplitude in (0, 1], blob_radius
+    positive, min_separation positive and below min(width, height), and
+    noise_std >= 0. A NaN or infinite value is a ConfigError.
     """
 
     width: int
@@ -166,57 +170,93 @@ class SynthConfig:
             raise ConfigError("blob counts must satisfy 0 <= min <= max")
         if not 0.0 < self.blob_amplitude <= 1.0:
             raise ConfigError("blob_amplitude must lie in (0, 1]")
-        if self.blob_radius <= 0.0:
-            raise ConfigError("blob_radius must be positive")
+        if not 0.0 < self.blob_radius < math.inf:
+            raise ConfigError("blob_radius must be positive and finite")
         if not 0.0 < self.min_separation < min(self.width, self.height):
             raise ConfigError("min_separation must be positive and below min(width, height)")
-        if self.noise_std < 0.0:
-            raise ConfigError("noise_std must be >= 0")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ConfigError("noise_std must be finite and >= 0")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 
 
 def _place_centres(cfg: SynthConfig, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Rejection-sample `count` centres with pairwise distance >= min_separation."""
-    xs: list[float] = []
-    ys: list[float] = []
+    """Rejection-sample `count` centres with pairwise distance >= min_separation.
+
+    ``width * rng.random()`` is the value and generator step of
+    ``rng.uniform(0.0, width)``, which numpy computes as ``0.0 + width * u``;
+    the squared distances are the products numpy's ``** 2`` makes.
+    """
+    placed: list[tuple[float, float]] = []
     min_sq = cfg.min_separation**2
     attempts = 0
-    while len(xs) < count:
+    while len(placed) < count:
         if attempts >= PLACEMENT_ATTEMPTS:
             raise PlacementError(
-                f"placed {len(xs)} of {count} centres after {PLACEMENT_ATTEMPTS} attempts"
+                f"placed {len(placed)} of {count} centres after {PLACEMENT_ATTEMPTS} attempts"
             )
         attempts += 1
-        x = float(rng.uniform(0.0, cfg.width))
-        y = float(rng.uniform(0.0, cfg.height))
-        if xs:
-            d2 = (np.asarray(xs) - x) ** 2 + (np.asarray(ys) - y) ** 2
-            if float(d2.min()) < min_sq:
-                continue
-        xs.append(x)
-        ys.append(y)
-    return np.column_stack([xs, ys]) if xs else np.empty((0, 2))
+        x = cfg.width * rng.random()
+        y = cfg.height * rng.random()
+        if any((px - x) * (px - x) + (py - y) * (py - y) < min_sq for px, py in placed):
+            continue
+        placed.append((x, y))
+    return np.array(placed, dtype=np.float64).reshape(-1, 2)
+
+
+# Bumps are computed this many entries at a time at most, so that a cutoff
+# wide against the field and many centres do not make one huge batch.
+_STAMP_BATCH_ENTRIES = 1 << 18
 
 
 def stamp_gaussians(field, centres, sigma: float, cutoff: float, amplitude: float, combine) -> None:
     """Combine ``amplitude * exp(-d^2 / (2 sigma^2))``, zero beyond `cutoff`
-    of each centre, into `field` in place with the ufunc `combine`."""
+    of each centre, into `field` in place with the ufunc `combine`.
+
+    Each centre's window is its pixels ``ceil(c - cutoff) .. floor(c + cutoff)``
+    on each axis, clipped to the field. The bumps of many centres are
+    computed as one (centres, rows, columns) array, each centre's block
+    starting at its window's corner and as large as the largest window.
+
+    Exactness of the batch (the same field bit for bit as a loop that
+    computes and combines one centre's window at a time, kept in
+    tests/oracles.py):
+
+    - Every entry is computed by the same per-element operations on the
+      same operands: ``(x - cx)**2 + (y - cy)**2`` with integral x and y,
+      then ``-d2 / (2 sigma^2)``, ``exp`` and ``amplitude *``.
+    - Entries of a window beyond `cutoff` are exactly 0.0 in both. Entries
+      of a block past its centre's window are never combined, because each
+      window is cut from its block by Python ints.
+    - The windows are combined into `field` one centre at a time in the
+      order of `centres`, so overlapping sums and maxima are taken in the
+      same order.
+    """
     height, width = field.shape
-    for cx, cy in centres:
-        x_lo = max(0, int(math.ceil(cx - cutoff)))
-        x_hi = min(width - 1, int(math.floor(cx + cutoff)))
-        y_lo = max(0, int(math.ceil(cy - cutoff)))
-        y_hi = min(height - 1, int(math.floor(cy + cutoff)))
-        if x_lo > x_hi or y_lo > y_hi:
-            continue
-        xs = np.arange(x_lo, x_hi + 1, dtype=np.float64)
-        ys = np.arange(y_lo, y_hi + 1, dtype=np.float64)
-        d2 = (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2
-        bump = amplitude * np.exp(-d2 / (2.0 * sigma**2))
-        bump[d2 > cutoff**2] = 0.0
-        window = field[y_lo : y_hi + 1, x_lo : x_hi + 1]
-        combine(window, bump, out=window)
+    centres = np.asarray(centres, dtype=np.float64).reshape(-1, 2)
+    cx, cy = centres[:, 0], centres[:, 1]
+    x_lo = np.maximum(np.ceil(cx - cutoff), 0.0)
+    x_hi = np.minimum(np.floor(cx + cutoff), width - 1)
+    y_lo = np.maximum(np.ceil(cy - cutoff), 0.0)
+    y_hi = np.minimum(np.floor(cy + cutoff), height - 1)
+    hit = (x_lo <= x_hi) & (y_lo <= y_hi)
+    if not hit.any():
+        return
+    cx, cy, x_lo, x_hi, y_lo, y_hi = (a[hit] for a in (cx, cy, x_lo, x_hi, y_lo, y_hi))
+    columns = int((x_hi - x_lo).max()) + 1
+    rows = int((y_hi - y_lo).max()) + 1
+    windows = np.stack([x_lo, x_hi, y_lo, y_hi], axis=1).astype(np.int64).tolist()
+    step = max(1, _STAMP_BATCH_ENTRIES // (rows * columns))
+    for start in range(0, len(windows), step):
+        part = slice(start, start + step)
+        dx2 = (x_lo[part, None] + np.arange(columns) - cx[part, None]) ** 2
+        dy2 = (y_lo[part, None] + np.arange(rows) - cy[part, None]) ** 2
+        d2 = dx2[:, None, :] + dy2[:, :, None]
+        bumps = amplitude * np.exp(-d2 / (2.0 * sigma**2))
+        bumps[d2 > cutoff**2] = 0.0
+        for bump, (x0, x1, y0, y1) in zip(bumps, windows[part]):
+            window = field[y0 : y1 + 1, x0 : x1 + 1]
+            combine(window, bump[: y1 - y0 + 1, : x1 - x0 + 1], out=window)
 
 
 def generate_sample(cfg: SynthConfig, rng: np.random.Generator) -> Sample:

@@ -3,7 +3,9 @@
 These stay deliberately separate from the library's code paths: forward
 evaluation, suppression and greedy matching are straight-line loops,
 optimal matching is an exhaustive search, and gradients come from
-central finite differences.
+central finite differences. The windowed-Gaussian kernel and the centre
+placement keep the one-centre-at-a-time and one-draw-at-a-time loops that
+the library's batched versions must match bit for bit.
 """
 
 from __future__ import annotations
@@ -119,6 +121,50 @@ def blob_field_reference(centres, width: int, height: int, amplitude: float, rad
             row.append(min(1.0, max(0.0, total)))
         field.append(row)
     return field
+
+
+def stamp_gaussians_reference(field, centres, sigma: float, cutoff: float, amplitude: float, combine) -> None:
+    """One centre at a time: the windowed-Gaussian kernel with the same
+    per-element numpy operations as `msl.data.stamp_gaussians`, so that
+    the two agree bit for bit."""
+    height, width = field.shape
+    for cx, cy in centres:
+        x_lo = max(0, int(math.ceil(cx - cutoff)))
+        x_hi = min(width - 1, int(math.floor(cx + cutoff)))
+        y_lo = max(0, int(math.ceil(cy - cutoff)))
+        y_hi = min(height - 1, int(math.floor(cy + cutoff)))
+        if x_lo > x_hi or y_lo > y_hi:
+            continue
+        xs = np.arange(x_lo, x_hi + 1, dtype=np.float64)
+        ys = np.arange(y_lo, y_hi + 1, dtype=np.float64)
+        d2 = (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2
+        bump = amplitude * np.exp(-d2 / (2.0 * sigma**2))
+        bump[d2 > cutoff**2] = 0.0
+        window = field[y_lo : y_hi + 1, x_lo : x_hi + 1]
+        combine(window, bump, out=window)
+
+
+def place_centres_reference(cfg, count: int, rng, attempts_limit: int):
+    """Rejection sampling with ``rng.uniform`` draws and a numpy distance
+    check against every centre placed so far. Raises RuntimeError if
+    `attempts_limit` draws place fewer than `count` centres."""
+    xs: list[float] = []
+    ys: list[float] = []
+    min_sq = cfg.min_separation**2
+    attempts = 0
+    while len(xs) < count:
+        if attempts >= attempts_limit:
+            raise RuntimeError(f"placed {len(xs)} of {count} centres after {attempts_limit} attempts")
+        attempts += 1
+        x = float(rng.uniform(0.0, cfg.width))
+        y = float(rng.uniform(0.0, cfg.height))
+        if xs:
+            d2 = (np.asarray(xs) - x) ** 2 + (np.asarray(ys) - y) ** 2
+            if float(d2.min()) < min_sq:
+                continue
+        xs.append(x)
+        ys.append(y)
+    return np.column_stack([xs, ys]) if xs else np.empty((0, 2))
 
 
 def local_maxima_reference(values) -> list[tuple[int, int]]:

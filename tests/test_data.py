@@ -1,25 +1,32 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import msl.data
 from msl.data import (
+    PLACEMENT_ATTEMPTS,
     Dataset,
     ImageLattice,
     PointSet,
     Sample,
     SynthConfig,
+    _place_centres,
     generate_dataset,
     generate_sample,
     grid_values,
     split,
+    stamp_gaussians,
 )
 from msl.encoder import EncoderParams, encode, encoder_grid, fit_encoder
 from msl.errors import ConfigError, PlacementError, ShapeError
 from msl.inferrer import Architecture, infer, init_params
 from msl.seeds import make_rng
 
-from oracles import blob_field_reference
+from oracles import blob_field_reference, place_centres_reference, stamp_gaussians_reference
 
 
 def base_config(**overrides) -> SynthConfig:
@@ -91,6 +98,100 @@ class TestSynthConfig:
     def test_amplitude_range(self):
         with pytest.raises(ConfigError):
             base_config(blob_amplitude=1.5)
+
+    @pytest.mark.parametrize("knob", ["blob_amplitude", "blob_radius", "min_separation", "noise_std"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_float_is_a_config_error(self, knob, value):
+        with pytest.raises(ConfigError, match=knob):
+            base_config(**{knob: value})
+
+
+def _ulps(value: float, steps: int) -> float:
+    """`value` moved `steps` representable doubles up (or down, if negative)."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+@st.composite
+def stamp_cases(draw):
+    """A field, a batch size and the kernel's arguments with 0, 1, 40 or any
+    count up to 40 of centres: anywhere in and around the field, on or next
+    to its borders, or at most two ulps from k + cutoff or k - cutoff for an
+    integer k."""
+    width = draw(st.integers(1, 20))
+    height = draw(st.integers(1, 20))
+    cutoff = draw(st.floats(0.0, 0.99) | st.floats(1.0, 12.0))
+    sigma = draw(st.floats(0.25, 6.0))
+    amplitude = draw(st.floats(0.01, 1.0))
+    count = draw(st.sampled_from([0, 1, 40]) | st.integers(0, 40))
+
+    def coordinate(limit: int):
+        anywhere = st.floats(-cutoff - 1.0, limit + cutoff + 1.0)
+        border = st.sampled_from([0.0, _ulps(0.0, 1), limit - 1.0, _ulps(float(limit), -1), limit / 2.0])
+        near_integer = st.builds(
+            lambda k, side, steps: _ulps(k + side * cutoff, steps),
+            st.integers(-1, limit + 1),
+            st.sampled_from([-1.0, 1.0]),
+            st.integers(-2, 2),
+        )
+        return anywhere | border | near_integer
+
+    centres = draw(st.lists(st.tuples(coordinate(width), coordinate(height)), min_size=count, max_size=count))
+    if draw(st.booleans()):
+        field = np.zeros((height, width))
+    else:
+        field = np.random.default_rng(draw(st.integers(0, 2**32))).random((height, width))
+    batch = draw(st.sampled_from([1, 37, msl.data._STAMP_BATCH_ENTRIES]))
+    kernel = {
+        "centres": np.array(centres, dtype=np.float64).reshape(-1, 2),
+        "sigma": sigma,
+        "cutoff": cutoff,
+        "amplitude": amplitude,
+        "combine": draw(st.sampled_from([np.add, np.maximum])),
+    }
+    return field, batch, kernel
+
+
+@settings(max_examples=200, deadline=None)
+@given(stamp_cases())
+def test_stamp_gaussians_matches_the_per_centre_loop_bit_for_bit(case):
+    field, batch, kernel = case
+    want = field.copy()
+    stamp_gaussians_reference(want, **kernel)
+    got = field.copy()
+    with mock.patch.object(msl.data, "_STAMP_BATCH_ENTRIES", batch):
+        stamp_gaussians(got, **kernel)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 48),
+    height=st.integers(1, 48),
+    separation=st.floats(0.01, 0.99),
+    count=st.integers(0, 30),
+    seed=st.integers(0, 2**64 - 1),
+    attempts=st.sampled_from([1, 100, PLACEMENT_ATTEMPTS]),
+)
+def test_place_centres_draws_the_uniform_stream_and_decides_as_numpy(
+    width, height, separation, count, seed, attempts
+):
+    cfg = base_config(width=width, height=height, min_separation=separation * min(width, height))
+    ours, reference = make_rng(seed), make_rng(seed)
+    with mock.patch.object(msl.data, "PLACEMENT_ATTEMPTS", attempts):
+        try:
+            want = place_centres_reference(cfg, count, reference, attempts)
+        except RuntimeError as failure:
+            with pytest.raises(PlacementError) as raised:
+                _place_centres(cfg, count, ours)
+            assert str(raised.value) == str(failure)
+        else:
+            got = _place_centres(cfg, count, ours)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    # The noise drawn after the centres comes from the same generator state.
+    assert ours.bit_generator.state == reference.bit_generator.state
 
 
 class TestGenerateSample:
