@@ -234,27 +234,25 @@ def stamp_gaussians(field, centres, sigma: float, cutoff: float, amplitude: floa
     """
     height, width = field.shape
     centres = np.asarray(centres, dtype=np.float64).reshape(-1, 2)
-    cx, cy = centres[:, 0], centres[:, 1]
-    x_lo = np.maximum(np.ceil(cx - cutoff), 0.0)
-    x_hi = np.minimum(np.floor(cx + cutoff), width - 1)
-    y_lo = np.maximum(np.ceil(cy - cutoff), 0.0)
-    y_hi = np.minimum(np.floor(cy + cutoff), height - 1)
-    hit = (x_lo <= x_hi) & (y_lo <= y_hi)
-    if not hit.any():
+    # Each centre's first and last window pixel, as (x, y) pairs.
+    lo = np.maximum(np.ceil(centres - cutoff), 0.0)
+    hi = np.minimum(np.floor(centres + cutoff), (width - 1, height - 1))
+    hit = (lo <= hi).all(axis=1)
+    centres, lo, hi = centres[hit], lo[hit], hi[hit]
+    if len(centres) == 0:
         return
-    cx, cy, x_lo, x_hi, y_lo, y_hi = (a[hit] for a in (cx, cy, x_lo, x_hi, y_lo, y_hi))
-    columns = int((x_hi - x_lo).max()) + 1
-    rows = int((y_hi - y_lo).max()) + 1
-    windows = np.stack([x_lo, x_hi, y_lo, y_hi], axis=1).astype(np.int64).tolist()
+    columns, rows = ((hi - lo).max(axis=0) + 1).astype(np.int64).tolist()
+    windows = np.concatenate([lo, hi], axis=1).astype(np.int64).tolist()
+    span = max(columns, rows)
     step = max(1, _STAMP_BATCH_ENTRIES // (rows * columns))
     for start in range(0, len(windows), step):
         part = slice(start, start + step)
-        dx2 = (x_lo[part, None] + np.arange(columns) - cx[part, None]) ** 2
-        dy2 = (y_lo[part, None] + np.arange(rows) - cy[part, None]) ** 2
-        d2 = dx2[:, None, :] + dy2[:, :, None]
+        # (x - cx)**2 and (y - cy)**2 over each window's first `span` pixels.
+        sq = (lo[part, :, None] + np.arange(span) - centres[part, :, None]) ** 2
+        d2 = sq[:, 0, None, :columns] + sq[:, 1, :rows, None]
         bumps = amplitude * np.exp(-d2 / (2.0 * sigma**2))
         bumps[d2 > cutoff**2] = 0.0
-        for bump, (x0, x1, y0, y1) in zip(bumps, windows[part]):
+        for bump, (x0, y0, x1, y1) in zip(bumps, windows[part]):
             window = field[y0 : y1 + 1, x0 : x1 + 1]
             combine(window, bump[: y1 - y0 + 1, : x1 - x0 + 1], out=window)
 
