@@ -352,7 +352,8 @@ def cmd_loop(args) -> int:
 
 def _read_results(run_dir: Path) -> dict:
     """results.json of a finished run: one whose manifest.json, written
-    last, exists."""
+    last, exists. Read it, and index what it holds, within
+    `reading(run_dir / "results.json")`."""
     for name in ("results.json", "manifest.json"):
         if not (run_dir / name).exists():
             raise MissingArtifactError(f"run directory has no {name}: {run_dir}")
@@ -361,10 +362,12 @@ def _read_results(run_dir: Path) -> dict:
 
 def cmd_test(args) -> int:
     run_dir = Path(args.run)
-    results = _read_results(run_dir)
-    cfg = parse_config(results["config"])
+    with reading(run_dir / "results.json"):
+        results = _read_results(run_dir)
+        raw_config = results["config"]
+        sol_dir = run_dir if results["kind"] == "learn" else run_dir / results["selected"]["dir"]
+    cfg = parse_config(raw_config)
 
-    sol_dir = run_dir if results["kind"] == "learn" else run_dir / results["selected"]["dir"]
     for name in ("model.json", "model.msl1", "encoder_params.json"):
         if not (sol_dir / name).exists():
             raise MissingArtifactError(f"missing artifact: {sol_dir / name}")
@@ -405,38 +408,33 @@ def _report_rows(results: dict) -> list[dict]:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
-    rows = _report_rows(_read_results(run_dir))
-
-    print(f"{'sel':>3} {'variant':>9} {'sigma':>6} {'radius':>6} {'val_loss':>10}")
-    for row in rows:
-        params = row["decoder_params"]
-        sigma = params.get("sigma")
-        radius = params.get("radius")
-        loss_text = "failed" if row["validation_loss"] is None else f"{row['validation_loss']:.6f}"
-        print(
-            f"{'*' if row['selected'] else '':>3} "
-            f"{params['variant']:>9} "
-            f"{'' if sigma is None else f'{sigma:g}':>6} "
-            f"{'' if radius is None else f'{radius:g}':>6} "
-            f"{loss_text:>10}"
-        )
-
-    csv_path = run_dir / "report.csv"
-    _write_csv(
-        csv_path,
-        ["variant", "sigma", "radius", "validation_loss", "selected", "error"],
-        (
-            [
-                row["decoder_params"]["variant"],
-                row["decoder_params"].get("sigma", ""),
-                row["decoder_params"].get("radius", ""),
-                "" if row["validation_loss"] is None else repr(row["validation_loss"]),
+    lines, records = [], []
+    with reading(run_dir / "results.json"):
+        for row in _report_rows(_read_results(run_dir)):
+            params = row["decoder_params"]
+            variant, sigma, radius = params["variant"], params.get("sigma"), params.get("radius")
+            loss = row["validation_loss"]
+            lines.append(
+                f"{'*' if row['selected'] else '':>3} "
+                f"{variant:>9} "
+                f"{'' if sigma is None else f'{sigma:g}':>6} "
+                f"{'' if radius is None else f'{radius:g}':>6} "
+                f"{'failed' if loss is None else f'{loss:.6f}':>10}"
+            )
+            records.append([
+                variant,
+                "" if sigma is None else sigma,
+                "" if radius is None else radius,
+                "" if loss is None else repr(loss),
                 int(row["selected"]),
                 row["error"] or "",
-            ]
-            for row in rows
-        ),
-    )
+            ])
+
+    print(f"{'sel':>3} {'variant':>9} {'sigma':>6} {'radius':>6} {'val_loss':>10}")
+    for line in lines:
+        print(line)
+    csv_path = run_dir / "report.csv"
+    _write_csv(csv_path, ["variant", "sigma", "radius", "validation_loss", "selected", "error"], records)
     print(f"report: {csv_path}")
     return 0
 

@@ -288,7 +288,7 @@ def split_sizes(n: int, fractions) -> tuple[int, int, int]:
     the remainder goes to train. Bad fractions or an empty part are a ConfigError.
     """
     f_train, f_val, f_test = (float(f) for f in fractions)
-    if min(f_train, f_val, f_test) <= 0.0:
+    if not all(f > 0.0 for f in (f_train, f_val, f_test)):
         raise ConfigError("split fractions must be positive")
     if abs(f_train + f_val + f_test - 1.0) > 1e-9:
         raise ConfigError("split fractions must sum to 1")

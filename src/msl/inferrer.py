@@ -23,19 +23,16 @@ instead of fresh arrays. `train` owns one for the whole run; `gradient`
 and `infer` make one per call, so they run the same code.
 
 `infer_maps` infers a list of lattices on two threads, the caller and
-one worker. It hands the lattices out in pieces of about
-`_PIECE_PIXELS` pixels, taken in order from a shared counter under a
-lock; each thread runs `infer`'s kernel in a workspace of its own, so
-each map is `infer`'s bit for bit. Each piece's maps land in a future
-of their own, which the caller reads in input order, applying `then` to
-them, and whenever the next future is not done the caller infers the
-next unclaimed piece itself: `pipeline.test` encodes that way while the
-worker still infers. A worker failure is set on its piece's future and
-the worker exits, so the caller raises it on reaching that piece; a
-failure on the caller's thread cancels the futures not yet started, so
-the worker stops too. `then`, like every msl name, runs on the calling
-thread only: the worker runs numpy alone, since a tracer may rebind msl
-names to single-threaded span recorders. Each thread is meant to use one
+one worker. It cuts them into pieces of about `_PIECE_PIXELS` pixels
+and submits every piece to a one-thread executor, whose worker infers
+them in order. The caller reads the pieces in input order, applying
+`then` to their maps, and while the worker still has the next one, it
+cancels the next piece not yet started and infers that itself:
+`pipeline.test` encodes that way while the worker still infers. Each
+thread infers in a workspace of its own, so each map is `infer`'s bit
+for bit. `then`, like every msl name, runs on the calling thread only:
+the worker runs numpy alone, since a tracer may rebind msl names to
+single-threaded span recorders. Each thread is meant to use one
 BLAS thread: importing msl sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 and MKL_NUM_THREADS to 1 unless they are set, which takes effect only
 if msl is imported before numpy.
@@ -44,8 +41,7 @@ if msl is imported before numpy.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -64,12 +60,11 @@ from .storage import read_json, read_msl1, reading, write_json, write_msl1
 # from run to run. At most two hand-offs' minibatches are held at once.
 _PREFETCH_BYTES = 4 << 20
 
-# Pixels of lattices that `infer_maps` hands to a thread at a time. Each
-# piece costs a hand-off (a lock, a future, a thread wake-up), which small
-# maps feel: `pipeline.test` ran 100 maps of 32x32 at 2267 image/s with one
-# lattice a piece and at 2613 with pieces of this size, while on 100 dense
-# maps of 64x64 (8 a piece) the two were even (962 and 977). Medians of 36
-# chunks each, in-process on a shared two-core x86-64 machine.
+# Pixels of lattices that `infer_maps` hands out at a time. Each piece
+# costs a submit and the worker's queue get, which small maps feel: with
+# one lattice a piece, `pipeline.test` on 100 maps of 32x32 ran about 10%
+# slower (1763 against 1967 image/s, and faster in only 19 of 168
+# alternating pairs), in one process on a shared two-core x86-64 machine.
 _PIECE_PIXELS = 1 << 15
 
 
@@ -147,8 +142,8 @@ class TrainConfig:
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         # 0 is allowed so a degenerate run returns its initial parameters.
-        if self.learning_rate < 0.0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and >= 0")
         if self.batch_pixels < 1:
             raise ConfigError("batch_pixels must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -294,63 +289,43 @@ def infer_maps(lattices, params: InferrerParams, then=None) -> list:
     `then(map)` of every map instead. Both come in input order.
 
     Every lattice's shape is checked (`grid_values`) and the weights
-    upcast on the calling thread first. The lattices are then handed out
-    in pieces (`_pieces`), taken in order from a shared counter by the
-    caller and by one worker thread, and each piece's maps land in a
-    future of its own. The caller reads the futures in order, applying
-    `then` to each piece's maps, and infers the next unclaimed piece
-    itself whenever the next future is not done. A worker failure is set
-    on the future of the piece where it happened, and the worker then
-    exits; reading that future raises it. A failure on the caller's thread
-    cancels the futures of the pieces not yet started, and the worker
-    exits at the first of them. The worker has exited when this returns or
-    raises.
+    upcast on the calling thread first. Every piece (`_pieces`) is then
+    submitted to a one-thread executor. The caller reads the pieces in
+    order, applying `then` to each piece's maps, and while the worker
+    still has the next one, the caller claims the next piece not yet
+    started by cancelling its future, which succeeds only before the
+    worker starts it, and infers it itself. A worker failure is raised
+    when the caller reaches the failed piece; until then, the worker may
+    start later pieces. On any failure, the pieces not yet started are
+    cancelled. The worker has exited when this returns or raises.
     """
     c, weights = _weights(params)
     values = [grid_values(lattice) for lattice in lattices]
     pieces = _pieces(values)
-    done = [Future() for _ in pieces]
-    lock = threading.Lock()
-    claimed = 0
 
-    def claim() -> int | None:
-        # The next unclaimed piece, or None once every piece is claimed.
-        nonlocal claimed
-        with lock:
-            if claimed == len(pieces):
-                return None
-            claimed += 1
-            return claimed - 1
+    def run(piece: range, ws: _Workspace) -> list[np.ndarray]:
+        return [_predict(values[i], c, weights, ws) for i in piece]
 
-    def run(piece: int, ws: _Workspace) -> None:
-        done[piece].set_result([_predict(values[i], c, weights, ws) for i in pieces[piece]])
-
-    def work() -> None:
-        # The worker thread: numpy and threading only, no msl name.
-        ws = _Workspace()
-        while (piece := claim()) is not None and done[piece].set_running_or_notify_cancel():
-            try:
-                run(piece, ws)
-            except BaseException as exc:  # raised on the caller by result()
-                done[piece].set_exception(exc)
-                return
-
-    ws = _Workspace()
-    maps = []
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pool.submit(work)
-        try:
-            for k in range(len(pieces)):
-                while not done[k].done() and (piece := claim()) is not None:
-                    run(piece, ws)
-                piece_maps = done[k].result()
-                # Drop the future, so that raw maps die once `then` has consumed them.
-                done[k] = None
-                maps.extend(piece_maps if then is None else map(then, piece_maps))
-        finally:
-            # After a failure here, the worker starts no further piece.
-            for future in filter(None, done):
-                future.cancel()
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        worker_ws = _Workspace()
+        futures = [pool.submit(run, piece, worker_ws) for piece in pieces]
+        ws, claimed, maps = _Workspace(), {}, []
+        # The next piece the caller tries to claim. It only moves forward:
+        # cancel() succeeds again on a future that is already cancelled.
+        ahead = 0
+        for k in range(len(pieces)):
+            ahead = max(ahead, k)
+            while k not in claimed and not futures[k].done() and ahead < len(pieces):
+                if futures[ahead].cancel():
+                    claimed[ahead] = run(pieces[ahead], ws)
+                ahead += 1
+            piece_maps = claimed.pop(k) if k in claimed else futures[k].result()
+            # Drop the future, so that raw maps die once `then` has consumed them.
+            futures[k] = None
+            maps.extend(piece_maps if then is None else map(then, piece_maps))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return maps
 
 

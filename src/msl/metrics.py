@@ -57,7 +57,7 @@ class DetectionReport:
 def eligible_pairs(pred: np.ndarray, truth: np.ndarray, tau: float) -> list[tuple[float, int, int]]:
     """Every (d, i, j) with d = math.hypot(pred[i] - truth[j]) <= tau,
     sorted; pred and truth are (n, 2) arrays of (x, y)."""
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError("tau must be positive")
     if pred.shape[0] == 0 or truth.shape[0] == 0:
         return []

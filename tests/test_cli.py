@@ -248,20 +248,28 @@ class TestTest:
             flat[0, 0] = np.inf
             storage.write_msl1(path, flat)
 
+        def truncated(path):
+            path.write_text(path.read_text()[:-40])
+
+        # (file, corruption, commands that read it): `report` reads results.json only.
         corruptions = [
-            ("model.json", edited(lambda o: o.pop("architecture"))),
-            ("model.msl1", non_finite),
-            ("encoder_params.json", edited(lambda o: o.update(threshold=1.5))),
-            ("encoder_params.json", edited(lambda o: o.pop("threshold"))),
+            ("model.json", edited(lambda o: o.pop("architecture")), ["test"]),
+            ("model.msl1", non_finite, ["test"]),
+            ("encoder_params.json", edited(lambda o: o.update(threshold=1.5)), ["test"]),
+            ("encoder_params.json", edited(lambda o: o.pop("threshold")), ["test"]),
+            ("results.json", truncated, ["test", "report"]),
+            ("results.json", edited(lambda o: o.pop("kind")), ["test", "report"]),
+            ("results.json", edited(lambda o: o["decoder_params"].pop("variant")), ["report"]),
         ]
         capsys.readouterr()
-        for case, (name, corrupt) in enumerate(corruptions):
+        for case, (name, corrupt, commands) in enumerate(corruptions):
             run = tmp_path / f"case{case}"
             shutil.copytree(learned, run)
             corrupt(run / name)
-            assert main(["test", "--run", str(run)]) == 1, name
-            err = capsys.readouterr().err
-            assert f"FormatError: {run / name}: " in err, err
+            for command in commands:
+                assert main([command, "--run", str(run)]) == 1, (command, name)
+                err = capsys.readouterr().err
+                assert f"FormatError: {run / name}: " in err, err
 
     def test_no_decoder_invocation_during_test(self, workspace, decode_calls):
         root, _, cfg = workspace

@@ -19,6 +19,7 @@ from msl.data import (
     generate_sample,
     grid_values,
     split,
+    split_sizes,
     stamp_gaussians,
 )
 from msl.encoder import EncoderParams, encode, encoder_grid, fit_encoder
@@ -326,6 +327,11 @@ class TestSplit:
             split(ds, (0.7, 0.1, 0.1), 3)
         with pytest.raises(ConfigError):
             split(ds, (0.9, 0.05, 0.05), 3)  # val/test floor to zero
+
+    @pytest.mark.parametrize("fractions", [(0.8, math.nan, 0.1), (math.nan, 0.1, 0.1), (0.8, 0.1, math.inf)])
+    def test_non_finite_fraction_is_a_config_error(self, fractions):
+        with pytest.raises(ConfigError, match="split fractions"):
+            split_sizes(100, fractions)
 
     def test_exact_sixths_do_not_floor_short(self):
         ds = Dataset(tuple(generate_dataset(base_config(), 12).samples) * 25)  # 300 samples

@@ -72,6 +72,11 @@ class TestInit:
         with pytest.raises(ConfigError):
             Architecture(context_radius=1, hidden_units=0)
 
+    @pytest.mark.parametrize("learning_rate", [-0.01, math.nan, math.inf])
+    def test_negative_or_non_finite_learning_rate_is_a_config_error(self, learning_rate):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(epochs=1, learning_rate=learning_rate, batch_pixels=64, seed=1)
+
 
 class TestPredictPixel:
     """One pixel's output, read from `infer` at the centre of a patch-sized lattice."""
@@ -274,6 +279,40 @@ class TestInferMaps:
         monkeypatch.setattr(inferrer, "_predict", slow)
         run_bounded(body)
         assert len(started) < 10
+
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6])
+    def test_every_lattice_is_inferred_exactly_once(self, monkeypatch, switch_interval):
+        # One lattice a piece and a slow worker, so that the caller claims
+        # several pieces ahead of the worker while it waits. A claimed
+        # piece's future is cancelled, and cancelling it again succeeds
+        # again: no piece may run twice.
+        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 1)
+        rng = np.random.default_rng(51)
+        params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
+        lattices = self.lattices(40, rng)
+        expected = [infer(l, params).tobytes() for l in lattices]
+        predict = inferrer._predict
+        callers, calls = [], []
+
+        def counted(values, c, weights, ws):
+            calls.append(values.shape)
+            if threading.current_thread() not in callers:
+                time.sleep(0.001)
+            return predict(values, c, weights, ws)
+
+        def body():
+            callers.append(threading.current_thread())
+            return inferrer.infer_maps(lattices, params)
+
+        monkeypatch.setattr(inferrer, "_predict", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(switch_interval or interval)
+        try:
+            maps = run_bounded(body)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == sorted(l.values.shape for l in lattices)
+        assert [m.tobytes() for m in maps] == expected
 
     @pytest.mark.parametrize("switch_interval", [None, 1e-6])
     @pytest.mark.parametrize("piece_pixels", [None, 1, 150])

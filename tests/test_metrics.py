@@ -78,7 +78,7 @@ class TestMatch:
 
     def test_nonpositive_tau_rejected(self):
         pts = points([(1.0, 1.0)])
-        for tau in (0.0, -1.0):
+        for tau in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 match(pts, pts, tau)
             with pytest.raises(ValueError):
