@@ -364,9 +364,9 @@ def cmd_test(args) -> int:
     run_dir = Path(args.run)
     with reading(run_dir / "results.json"):
         results = _read_results(run_dir)
-        raw_config = results["config"]
+        # The stored config is part of the run: a bad one is a FormatError.
+        cfg = parse_config(results["config"])
         sol_dir = run_dir if results["kind"] == "learn" else run_dir / results["selected"]["dir"]
-    cfg = parse_config(raw_config)
 
     for name in ("model.json", "model.msl1", "encoder_params.json"):
         if not (sol_dir / name).exists():

@@ -22,27 +22,28 @@ The kernels write their intermediates into a workspace (`_Workspace`)
 instead of fresh arrays. `train` owns one for the whole run; `gradient`
 and `infer` make one per call, so they run the same code.
 
-`infer_maps` infers a list of lattices on two threads, the caller and
-one worker. It cuts them into pieces of about `_PIECE_PIXELS` pixels
-and submits every piece to a one-thread executor, whose worker infers
-them in order. The caller reads the pieces in input order, applying
-`then` to their maps, and while the worker still has the next one, it
-cancels the next piece not yet started and infers that itself:
-`pipeline.test` encodes that way while the worker still infers. Each
-thread infers in a workspace of its own, so each map is `infer`'s bit
-for bit. `then`, like every msl name, runs on the calling thread only:
-the worker runs numpy alone, since a tracer may rebind msl names to
-single-threaded span recorders. Each thread is meant to use one
-BLAS thread: importing msl sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
-and MKL_NUM_THREADS to 1 unless they are set, which takes effect only
-if msl is imported before numpy.
+`infer_maps` and `train` run on two threads, the caller and one worker,
+through one scheduler, `_in_order`: the caller reads the jobs' results in
+order, and runs the next job the worker has not started whenever it
+would wait. `infer_maps`' jobs are pieces of lattices, so `pipeline.test`
+encodes while the worker infers; `train`'s are minibatch gathers, so on
+a small model, whose step is quicker than its gather, the caller gathers
+too. Each thread infers in a workspace of its own, so each map is
+`infer`'s bit for bit. Jobs run numpy alone, since a tracer may rebind
+msl names to single-threaded span recorders. Each thread is meant to use
+one BLAS thread: importing msl sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS to 1 unless they are set, which takes effect only if
+msl is imported before numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +55,9 @@ from .errors import ConfigError, DivergenceError, FormatError, ShapeError
 from .seeds import derive_seed, make_rng
 from .storage import read_json, read_msl1, reading, write_json, write_msl1
 
-# Bytes of minibatches that `train`'s worker thread draws and gathers per
-# hand-off. One minibatch per hand-off cost two thread wake-ups a step,
-# and on a shared two-core machine their latency made training time swing
-# from run to run. At most two hand-offs' minibatches are held at once.
+# Bytes of minibatch gathers that `train` keeps in flight ahead of its
+# step, each one job of `_in_order`. At most twice as many minibatches,
+# the step's own included, are held at once.
 _PREFETCH_BYTES = 4 << 20
 
 # Pixels of lattices that `infer_maps` hands out at a time. Each piece
@@ -252,9 +252,8 @@ def _weights(params: InferrerParams) -> tuple[int, tuple]:
 
 def _predict(values: np.ndarray, c: int, weights: tuple, ws: _Workspace) -> np.ndarray:
     """One lattice's map, with the patch matrix and hidden layer written
-    into ws. numpy only: it also runs on `infer_maps`' worker thread,
-    where no msl name may be called, since a tracer may rebind those to
-    single-threaded span recorders."""
+    into ws. numpy only, since it also runs on the worker thread (see the
+    module docstring)."""
     w1, b1, w2, b2 = weights
     side = 2 * c + 1
     patches = ws.array("patches", (values.size, w1.shape[1]), w1.dtype)
@@ -284,20 +283,51 @@ def _pieces(values: list[np.ndarray]) -> list[range]:
     return pieces
 
 
+def _in_order(jobs, window: int):
+    """Yield `job(ws)` of every job in `jobs`, in order, with `ws` the
+    running thread's own workspace. Jobs are taken on the calling thread
+    and submitted to a one-thread executor, at most `window` of them not
+    yet yielded. While the next result is not done, the caller claims the
+    next job not yet started by cancelling its future, which succeeds
+    only before the worker starts it, and runs it itself. A failure is
+    raised when its job is reached. Once the generator fails or is closed
+    (callers hold it in `closing`), the jobs not yet started are
+    cancelled and the worker has exited.
+    """
+    jobs = iter(jobs)
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        worker_ws, ws, futures, claimed = _Workspace(), _Workspace(), {}, {}
+        # The next job the caller tries to claim. It only moves forward:
+        # cancel() succeeds again on a future that is already cancelled.
+        ahead = 0
+        for k in itertools.count():
+            # futures holds jobs k, k + 1, ...: submitted and not yet yielded.
+            for job in itertools.islice(jobs, window - len(futures)):
+                futures[k + len(futures)] = job, pool.submit(job, worker_ws)
+            if k not in futures:
+                return
+            ahead = max(ahead, k)
+            while k not in claimed and not futures[k][1].done() and ahead in futures:
+                job, future = futures[ahead]
+                if future.cancel():
+                    claimed[ahead] = job(ws)
+                ahead += 1
+            yield claimed.pop(k) if k in claimed else futures[k][1].result()
+            # Drop the future, so that a result dies once the caller drops it.
+            del futures[k]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def infer_maps(lattices, params: InferrerParams, then=None) -> list:
     """`infer` of every lattice, bit for bit, on two threads; with `then`,
     `then(map)` of every map instead. Both come in input order.
 
     Every lattice's shape is checked (`grid_values`) and the weights
-    upcast on the calling thread first. Every piece (`_pieces`) is then
-    submitted to a one-thread executor. The caller reads the pieces in
-    order, applying `then` to each piece's maps, and while the worker
-    still has the next one, the caller claims the next piece not yet
-    started by cancelling its future, which succeeds only before the
-    worker starts it, and infers it itself. A worker failure is raised
-    when the caller reaches the failed piece; until then, the worker may
-    start later pieces. On any failure, the pieces not yet started are
-    cancelled. The worker has exited when this returns or raises.
+    upcast on the calling thread first. Then every piece (`_pieces`) is
+    submitted to `_in_order` at once, and `then` runs on the calling
+    thread as each piece's maps are read.
     """
     c, weights = _weights(params)
     values = [grid_values(lattice) for lattice in lattices]
@@ -306,27 +336,8 @@ def infer_maps(lattices, params: InferrerParams, then=None) -> list:
     def run(piece: range, ws: _Workspace) -> list[np.ndarray]:
         return [_predict(values[i], c, weights, ws) for i in piece]
 
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        worker_ws = _Workspace()
-        futures = [pool.submit(run, piece, worker_ws) for piece in pieces]
-        ws, claimed, maps = _Workspace(), {}, []
-        # The next piece the caller tries to claim. It only moves forward:
-        # cancel() succeeds again on a future that is already cancelled.
-        ahead = 0
-        for k in range(len(pieces)):
-            ahead = max(ahead, k)
-            while k not in claimed and not futures[k].done() and ahead < len(pieces):
-                if futures[ahead].cancel():
-                    claimed[ahead] = run(pieces[ahead], ws)
-                ahead += 1
-            piece_maps = claimed.pop(k) if k in claimed else futures[k].result()
-            # Drop the future, so that raw maps die once `then` has consumed them.
-            futures[k] = None
-            maps.extend(piece_maps if then is None else map(then, piece_maps))
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return maps
+    with closing(_in_order([partial(run, piece) for piece in pieces], len(pieces))) as results:
+        return [m if then is None else then(m) for piece_maps in results for m in piece_maps]
 
 
 def gradient(
@@ -362,12 +373,11 @@ def train(
 
     An epoch is ceil(total_pixels / batch_pixels) steps. The whole run is
     a pure function of (inputs, arch, cfg): initialization and batch
-    sampling use sub-seeds of cfg.seed. One worker thread draws and
-    gathers the next few minibatches (about `_PREFETCH_BYTES` of them)
-    while the current ones compute; it has exited when this returns or
-    raises. Every step writes into one workspace that lasts the run.
-    Lattices and targets are rounded to float32 once; the returned
-    parameters are float32.
+    sampling use sub-seeds of cfg.seed. Each minibatch's gather is a job
+    of `_in_order`, with the window that `_PREFETCH_BYTES` sets; its worker
+    has exited when this returns or raises. Every step writes into one
+    workspace that lasts the run. Lattices and targets are rounded to
+    float32 once; the returned parameters are float32.
     """
     if not train_lattices:
         raise ConfigError("training requires at least one lattice")
@@ -391,49 +401,38 @@ def train(
     steps_per_epoch = max(1, math.ceil(n_samples * pixels_per_lattice / cfg.batch_pixels))
     n_steps = cfg.epochs * steps_per_epoch
     batch_bytes = cfg.batch_pixels * (arch.input_dim + 1) * windows.itemsize
-    per_hand_off = max(1, _PREFETCH_BYTES // batch_bytes)
+    window = 2 * max(1, _PREFETCH_BYTES // batch_bytes) - 1
 
-    def draw(count: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        # Runs on the worker thread. numpy releases the GIL while it
-        # gathers; no msl function is called, since a tracer may rebind
-        # those to single-threaded span recorders.
-        batches = []
-        for _ in range(count):
+    def gather(sample_idx: np.ndarray, flat: np.ndarray, ws: _Workspace):
+        # Runs on either thread, so numpy only (see the module docstring).
+        py, px = np.divmod(flat, width)
+        return windows[sample_idx, py, px], targets[sample_idx, py, px]
+
+    def gathers():
+        # Drawn on the calling thread as each gather is submitted, so the rng
+        # is consumed in step order, whichever thread gathers.
+        for _ in range(n_steps):
             sample_idx = rng.integers(0, n_samples, size=cfg.batch_pixels)
             flat = rng.integers(0, pixels_per_lattice, size=cfg.batch_pixels)
-            py, px = np.divmod(flat, width)
-            batches.append((windows[sample_idx, py, px], targets[sample_idx, py, px]))
-        return batches
+            yield partial(gather, sample_idx, flat)
 
     w1, b1, w2, b2 = params.w1.copy(), params.b1.copy(), params.w2.copy(), params.b2
     ws = _Workspace()
     learning_rate = np.float32(cfg.learning_rate)
     step_losses = np.empty(n_steps)
-    # The next per_hand_off minibatches are drawn and gathered while the
-    # current ones compute. A draw is submitted only after the previous
-    # one's result is read, so the rng is consumed in step order and the
-    # run stays a pure function of its inputs. Divergence is detected via
-    # the finiteness check, so numpy's overflow warnings on the way there
-    # are just noise.
-    with ThreadPoolExecutor(max_workers=1) as pool, np.errstate(over="ignore", invalid="ignore"):
-        pending = pool.submit(draw, min(per_hand_off, n_steps))
-        step = 0
-        while step < n_steps:
-            batches = pending.result()
-            drawn = step + len(batches)
-            if drawn < n_steps:
-                pending = pool.submit(draw, min(per_hand_off, n_steps - drawn))
-            for patches, batch_targets in batches:
-                patches = patches.reshape(cfg.batch_pixels, arch.input_dim)
-                loss, (g_w1, g_b1, g_w2, g_b2) = _step(w1, b1, w2, b2, patches, batch_targets, ws)
-                if not math.isfinite(loss):
-                    raise DivergenceError(f"non-finite training loss at step {step}")
-                step_losses[step] = loss
-                w1 -= learning_rate * g_w1
-                b1 -= learning_rate * g_b1
-                w2 -= learning_rate * g_w2
-                b2 -= learning_rate * g_b2
-                step += 1
+    # Divergence is detected via the finiteness check, so numpy's overflow
+    # warnings on the way there are just noise.
+    with closing(_in_order(gathers(), window)) as batches, np.errstate(over="ignore", invalid="ignore"):
+        for step, (patches, batch_targets) in enumerate(batches):
+            patches = patches.reshape(cfg.batch_pixels, arch.input_dim)
+            loss, (g_w1, g_b1, g_w2, g_b2) = _step(w1, b1, w2, b2, patches, batch_targets, ws)
+            if not math.isfinite(loss):
+                raise DivergenceError(f"non-finite training loss at step {step}")
+            step_losses[step] = loss
+            w1 -= learning_rate * g_w1
+            b1 -= learning_rate * g_b1
+            w2 -= learning_rate * g_w2
+            b2 -= learning_rate * g_b2
 
     epoch_losses = step_losses.reshape(cfg.epochs, steps_per_epoch).mean(axis=1)
     return TrainResult(

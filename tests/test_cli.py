@@ -260,6 +260,9 @@ class TestTest:
             ("results.json", truncated, ["test", "report"]),
             ("results.json", edited(lambda o: o.pop("kind")), ["test", "report"]),
             ("results.json", edited(lambda o: o["decoder_params"].pop("variant")), ["report"]),
+            # The stored config is part of the run, not a config the user gave.
+            ("results.json", edited(lambda o: o["config"]["inferrer"].pop("epochs")), ["test"]),
+            ("results.json", edited(lambda o: o["config"]["inferrer"].update(epochs=0)), ["test"]),
         ]
         capsys.readouterr()
         for case, (name, corrupt, commands) in enumerate(corruptions):

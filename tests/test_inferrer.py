@@ -3,6 +3,8 @@ import sys
 import threading
 import time
 import weakref
+from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
@@ -704,10 +706,11 @@ class TestTrain:
     def test_steps_apply_the_verified_gradient_in_draw_order(self):
         self.assert_steps_replay(batch_pixels=300)
 
-    def test_draw_order_holds_across_prefetch_hand_offs(self, monkeypatch):
+    def test_draw_order_holds_as_the_in_flight_window_refills(self, monkeypatch):
         # 2 epochs of 11 steps of 100 float32 patches of 25 values and their
-        # targets: hand-offs of 8, 8 and 6 minibatches.
-        monkeypatch.setattr(inferrer, "_PREFETCH_BYTES", 8 * 100 * 26 * 4 + 1)
+        # targets, two minibatches' bytes: at most 3 gathers are in flight,
+        # so the window is refilled after each of the 22 steps.
+        monkeypatch.setattr(inferrer, "_PREFETCH_BYTES", 2 * 100 * 26 * 4)
         self.assert_steps_replay(batch_pixels=100)
 
     @staticmethod
@@ -764,6 +767,91 @@ class TestTrain:
             assert threading.active_count() == before
 
         run_bounded(body)
+
+    @staticmethod
+    def counted_gathers(monkeypatch, gathered, slow):
+        """Wrap every gather job that `train` hands to `_in_order`: record
+        its step and thread in `gathered`, and first call `slow()` there."""
+        in_order = inferrer._in_order
+
+        def wrapped(jobs, window):
+            def job(step, gather, ws):
+                gathered.append((step, threading.current_thread()))
+                slow()
+                return gather(ws)
+
+            return in_order((partial(job, step, gather) for step, gather in enumerate(jobs)), window)
+
+        monkeypatch.setattr(inferrer, "_in_order", wrapped)
+
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6])
+    def test_every_minibatch_is_gathered_exactly_once(self, monkeypatch, switch_interval):
+        # A slow worker, so that the caller claims gathers ahead of it while
+        # it waits, within a window of 3. A claimed gather's future is
+        # cancelled, and cancelling it again succeeds again: no gather may
+        # run twice, and the run must equal one without a second thread.
+        lattices, targets = small_training_set()
+        arch = Architecture(context_radius=2, hidden_units=5)
+        cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_pixels=64, seed=30)
+        n_steps = 2 * math.ceil(sum(l.values.size for l in lattices) / cfg.batch_pixels)
+        monkeypatch.setattr(inferrer, "_PREFETCH_BYTES", 2 * 64 * 26 * 4)
+        in_order = inferrer._in_order
+        monkeypatch.setattr(inferrer, "_in_order", lambda jobs, window: (job(inferrer._Workspace()) for job in jobs))
+        serial = train(lattices, targets, arch, cfg)
+        monkeypatch.setattr(inferrer, "_in_order", in_order)
+
+        callers, gathered = [], []
+
+        def slow():
+            if threading.current_thread() not in callers:
+                time.sleep(0.001)
+
+        def body():
+            callers.append(threading.current_thread())
+            return train(lattices, targets, arch, cfg)
+
+        self.counted_gathers(monkeypatch, gathered, slow)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(switch_interval or interval)
+        try:
+            result = run_bounded(body)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(step for step, _ in gathered) == list(range(n_steps))
+        assert any(thread in callers for _, thread in gathered)
+        assert result.step_losses.tobytes() == serial.step_losses.tobytes()
+        for got, want in zip(astuple(result.params), astuple(serial.params)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_no_gather_runs_after_divergence_is_raised(self, monkeypatch):
+        # Every gather takes 2 ms on either thread, so that most of the 80
+        # steps' gathers are not yet started when a step diverges. They are
+        # cancelled: none starts once train has raised.
+        lattices, targets = small_training_set()
+        arch = Architecture(context_radius=1, hidden_units=4)
+        cfg = TrainConfig(epochs=5, learning_rate=1e8, batch_pixels=64, seed=24)
+        gathered, raised = [], threading.Event()
+        late = []
+
+        def slow():
+            if raised.is_set():
+                late.append(len(gathered))
+            time.sleep(0.002)
+
+        def body():
+            # Holding the error holds train's frame, and so whatever train
+            # left open: the gathers must be cancelled all the same.
+            with pytest.raises(DivergenceError, match=r"step \d+") as error:
+                train(lattices, targets, arch, cfg)
+            raised.set()
+            count = len(gathered)
+            time.sleep(0.05)
+            return count, error
+
+        self.counted_gathers(monkeypatch, gathered, slow)
+        count, _ = run_bounded(body)
+        assert late == []
+        assert len(gathered) == count < 5 * 16
 
     def test_mismatched_shapes_rejected(self):
         lattices, targets = small_training_set()
