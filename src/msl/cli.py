@@ -23,14 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import Dataset, SynthConfig, generate_dataset, split, split_sizes
+from .data import Dataset, SynthConfig, generate_dataset, split_indices, split_sizes
 from .decoder import DecoderParams, DecoderSpace, decoder_grid
 from .encoder import EncoderParams, EncoderSpace, encoder_grid
 from .errors import ConfigError, MissingArtifactError
 from .inferrer import Architecture, TrainConfig, load_model, save_model
 from .pipeline import LearnedSolution, Predictor, learn, loop, test
 from .seeds import derive_seed
-from .storage import load_dataset, read_json, reading, save_dataset, write_json
+from .storage import load_dataset, read_json, read_manifest, reading, save_dataset, write_json
 
 log = logging.getLogger("msl")
 
@@ -188,17 +188,24 @@ def _versions() -> dict:
     return {"msl": __version__, "numpy": np.__version__, "python": platform.python_version()}
 
 
-def _load_splits(cfg: ExperimentConfig, data_dir: Path) -> tuple[Dataset, Dataset, Dataset]:
-    """The config's splits of the dataset in data_dir, which must have the
-    config's size and seed: another dataset splits differently, so its
-    test split can hold scenes a run trained on."""
-    ds, manifest = load_dataset(data_dir)
+def _load_splits(cfg: ExperimentConfig, data_dir: Path, *parts: str) -> list[Dataset]:
+    """The config's splits named in `parts` ("train", "val", "test") of the
+    dataset in data_dir, read in one pass; no other sample is read. The
+    dataset must have the config's size and seed: another dataset splits
+    differently, so its test split can hold scenes a run trained on."""
+    manifest = read_manifest(data_dir)
     for key, expected in (("n", cfg.n), ("seed", cfg.synth.seed)):
         if manifest.get(key) != expected:
             raise ConfigError(
                 f"dataset {data_dir} has {key} {manifest.get(key)!r}, but the config gives synth {key} {expected!r}"
             )
-    return split(ds, cfg.fractions, cfg.split_seed)
+    indices = dict(zip(("train", "val", "test"), split_indices(cfg.n, cfg.fractions, cfg.split_seed)))
+    ds, _ = load_dataset(data_dir, np.concatenate([indices[part] for part in parts]))
+    splits, start = [], 0
+    for part in parts:
+        splits.append(Dataset(ds.samples[start : start + len(indices[part])]))
+        start += len(indices[part])
+    return splits
 
 
 def _write_manifest(run_dir: Path, cfg_raw: dict, artifacts: list[str], started: float) -> None:
@@ -269,7 +276,7 @@ def cmd_learn(args) -> int:
         )
     else:
         decoder_params = cfg.decoder_space.candidates[0]
-    train_split, val_split, _ = _load_splits(cfg, data_dir)
+    train_split, val_split = _load_splits(cfg, data_dir, "train", "val")
     run_dir = Path(args.out) if args.out else Path(cfg.out_dir) / "learn"
     _fresh_run_dir(run_dir)
     log.info("learn: %s on %d train / %d val samples", decoder_params.to_json_dict(), train_split.n, val_split.n)
@@ -298,7 +305,7 @@ def cmd_loop(args) -> int:
     started = time.perf_counter()
     cfg = load_config(Path(args.config))
     data_dir = Path(args.data) if args.data else Path(cfg.out_dir) / "dataset"
-    train_split, val_split, _ = _load_splits(cfg, data_dir)
+    train_split, val_split = _load_splits(cfg, data_dir, "train", "val")
     run_dir = Path(args.out) if args.out else Path(cfg.out_dir) / "loop"
     log.info("loop: %d candidates, %d workers", len(cfg.decoder_space), args.workers)
     result = loop(
@@ -377,7 +384,7 @@ def cmd_test(args) -> int:
     predictor = Predictor(load_model(sol_dir)[2], encoder_params)
 
     data_dir = Path(args.data) if args.data else Path(cfg.out_dir) / "dataset"
-    _, _, test_split = _load_splits(cfg, data_dir)
+    (test_split,) = _load_splits(cfg, data_dir, "test")
     test_report = test(test_split, predictor, cfg.match_tolerance)
     write_json(run_dir / "test_report.json", test_report.to_json_dict())
     print(

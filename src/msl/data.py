@@ -301,11 +301,16 @@ def split_sizes(n: int, fractions) -> tuple[int, int, int]:
     return n_train, n_val, n_test
 
 
+def split_indices(
+    n: int, fractions: tuple[float, float, float], seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Train, val and test sample indices of a split of n samples: a
+    seeded shuffle cut into the sizes that `split_sizes` gives."""
+    n_train, n_val, _ = split_sizes(n, fractions)
+    perm = make_rng(seed).permutation(n)
+    return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
+
+
 def split(ds: Dataset, fractions: tuple[float, float, float], seed: int) -> tuple[Dataset, Dataset, Dataset]:
-    """Disjoint train/val/test partition by seeded shuffle, of the sizes
-    that `split_sizes` gives."""
-    n_train, n_val, _ = split_sizes(ds.n, fractions)
-    perm = make_rng(seed).permutation(ds.n)
-    parts = (perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :])
-    train, val, test = (Dataset(tuple(ds.samples[i] for i in idx)) for idx in parts)
-    return train, val, test
+    """Disjoint train/val/test partition of ds by `split_indices`."""
+    return tuple(Dataset(tuple(ds.samples[i] for i in idx)) for idx in split_indices(ds.n, fractions, seed))

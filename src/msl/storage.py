@@ -103,20 +103,42 @@ def save_dataset(ds: Dataset, directory: Path, seed: int, config_echo: dict) -> 
     return manifest_path
 
 
-def load_dataset(directory: Path) -> tuple[Dataset, dict]:
-    """Read a dataset directory; returns (dataset, manifest). A missing key
-    or a bad value is a FormatError naming the file it was read from."""
-    directory = Path(directory)
-    manifest_path = directory / "manifest.json"
+def read_manifest(directory: Path) -> dict:
+    """A dataset directory's manifest.json. A missing key, or a samples
+    list whose length is not n, is a FormatError naming the file."""
+    manifest_path = Path(directory) / "manifest.json"
     with reading(manifest_path):
         manifest = read_json(manifest_path)
-        n = manifest["n"]
-        names = [(entry["lattice"], entry["points"]) for entry in manifest["samples"]]
+        n, count = manifest["n"], len(manifest["samples"])
+        if count != n:
+            raise ValueError(f"manifest lists n={n} but {count} samples")
+    return manifest
+
+
+def load_dataset(directory: Path, indices=None) -> tuple[Dataset, dict]:
+    """Read a dataset directory, or only the samples at `indices`, in that
+    order; returns (dataset, manifest). A missing key or a bad value is a
+    FormatError naming the file it was read from, and so is a lattice of
+    another shape than the manifest's."""
+    directory = Path(directory)
+    manifest = read_manifest(directory)
+    entries = manifest["samples"]
+    with reading(directory / "manifest.json"):
+        shape = (manifest["height"], manifest["width"])
+        names = [
+            (entries[i]["lattice"], entries[i]["points"])
+            for i in (range(len(entries)) if indices is None else indices)
+        ]
     # Inline try blocks per sample, not `reading`, which made this loop 8%
     # slower (97 against 90 ms on 1000 32x32 samples, shared 2-core x86-64).
     samples = []
     for lattice_name, points_name in names:
         values = read_msl1(directory / lattice_name)
+        if values.shape != shape:
+            raise FormatError(
+                f"{directory / lattice_name}: lattice is {values.shape[1]}x{values.shape[0]}, "
+                f"the manifest gives {shape[1]}x{shape[0]}"
+            )
         try:
             lattice = ImageLattice(values)
         except ValueError as exc:
@@ -127,6 +149,4 @@ def load_dataset(directory: Path) -> tuple[Dataset, dict]:
             samples.append(Sample(lattice=lattice, truth=points))
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{directory / points_name}: {exc!r}") from exc
-    if len(samples) != n:
-        raise FormatError(f"{directory}: manifest lists n={n} but {len(samples)} samples found")
     return Dataset(tuple(samples)), manifest

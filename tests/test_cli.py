@@ -10,7 +10,7 @@ import pytest
 import msl.cli
 from msl import inferrer, storage
 from msl.cli import load_config, main
-from msl.data import split
+from msl.data import split, split_indices
 from msl.encoder import EncoderParams
 from msl.errors import MissingArtifactError
 from msl.pipeline import Predictor, learn, test
@@ -279,6 +279,55 @@ class TestTest:
         run = Path(cfg["out_dir"]) / "loop"
         assert main(["test", "--run", str(run)]) == 0
         assert decode_calls == []
+
+
+def _dataset_without(cfg_path: Path, dataset: Path, copy: Path, parts: tuple[str, ...]) -> Path:
+    """A copy of `dataset` without the sample files of the config's splits
+    named in `parts`; returns the copy."""
+    shutil.copytree(dataset, copy)
+    config = load_config(cfg_path)
+    indices = dict(zip(("train", "val", "test"), split_indices(config.n, config.fractions, config.split_seed)))
+    samples = json.loads((copy / "manifest.json").read_text())["samples"]
+    for part in parts:
+        for i in indices[part]:
+            for name in samples[i].values():
+                (copy / name).unlink()
+    return copy
+
+
+class TestSplitLoading:
+    """Each command reads the samples of the splits it uses, and no others."""
+
+    def test_test_needs_only_the_test_split(self, workspace, tmp_path):
+        root, cfg_path, cfg = workspace
+        run = tmp_path / "run"
+        shutil.copytree(Path(cfg["out_dir"]) / "loop", run)
+        assert main(["test", "--run", str(run)]) == 0
+        full = (run / "test_report.json").read_bytes()
+        (run / "test_report.json").unlink()
+        dataset = _dataset_without(cfg_path, Path(cfg["out_dir"]) / "dataset", tmp_path / "data", ("train", "val"))
+        assert main(["test", "--run", str(run), "--data", str(dataset)]) == 0
+        assert (run / "test_report.json").read_bytes() == full
+
+    def test_corrupt_test_split_file_is_named(self, workspace, tmp_path, capsys):
+        root, cfg_path, cfg = workspace
+        dataset = tmp_path / "data"
+        shutil.copytree(Path(cfg["out_dir"]) / "dataset", dataset)
+        config = load_config(cfg_path)
+        first_test = split_indices(config.n, config.fractions, config.split_seed)[2][0]
+        points = dataset / json.loads((dataset / "manifest.json").read_text())["samples"][first_test]["points"]
+        points.write_text("[[1.0]]")
+        capsys.readouterr()
+        assert main(["test", "--run", str(Path(cfg["out_dir"]) / "loop"), "--data", str(dataset)]) == 1
+        assert f"FormatError: {points}: " in capsys.readouterr().err
+
+    def test_learn_needs_only_train_and_val(self, workspace, tmp_path):
+        root, cfg_path, cfg = workspace
+        full, subset = tmp_path / "full", tmp_path / "subset"
+        assert main(["learn", "--config", str(cfg_path), "--out", str(full)]) == 0
+        dataset = _dataset_without(cfg_path, Path(cfg["out_dir"]) / "dataset", tmp_path / "data", ("test",))
+        assert main(["learn", "--config", str(cfg_path), "--data", str(dataset), "--out", str(subset)]) == 0
+        assert_dirs_identical(full, subset)
 
 
 class TestReport:

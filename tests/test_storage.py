@@ -79,7 +79,7 @@ def test_dataset_round_trip(tmp_path):
         np.testing.assert_array_equal(roundtrip.truth.points, original.truth.points)
 
 
-def _small_dataset(directory):
+def _small_dataset(directory, n=2):
     cfg = SynthConfig(
         width=8,
         height=8,
@@ -91,7 +91,7 @@ def _small_dataset(directory):
         noise_std=0.0,
         seed=5,
     )
-    save_dataset(generate_dataset(cfg, 2), directory, seed=cfg.seed, config_echo={})
+    save_dataset(generate_dataset(cfg, n), directory, seed=cfg.seed, config_echo={})
     return json.loads((directory / "manifest.json").read_text())
 
 
@@ -122,3 +122,36 @@ def test_bad_sample_file_names_file(tmp_path):
     with pytest.raises(FormatError, match="expected 256") as caught:
         load_dataset(tmp_path)
     assert caught.value.__cause__ is None
+
+
+def test_lattice_of_another_shape_names_lattice_file(tmp_path):
+    manifest = _small_dataset(tmp_path)
+    lattice = tmp_path / manifest["samples"][1]["lattice"]
+    # Larger than the manifest's 8x8, and smaller than the points it holds.
+    for height, width in ((12, 10), (3, 5)):
+        write_msl1(lattice, np.zeros((height, width)))
+        with pytest.raises(FormatError, match=rf"{lattice.name}: lattice is {width}x{height}, the manifest gives 8x8"):
+            load_dataset(tmp_path)
+
+
+def test_subset_load_reads_only_its_samples_in_order(tmp_path):
+    manifest = _small_dataset(tmp_path, n=6)
+    full, _ = load_dataset(tmp_path)
+    indices = [4, 0, 2]
+    for entry in (e for i, e in enumerate(manifest["samples"]) if i not in indices):
+        (tmp_path / entry["lattice"]).unlink()
+        (tmp_path / entry["points"]).unlink()
+    subset, subset_manifest = load_dataset(tmp_path, indices)
+    assert subset_manifest == manifest
+    assert subset.n == len(indices)
+    for i, sample in zip(indices, subset.samples):
+        np.testing.assert_array_equal(sample.lattice.values, full.samples[i].lattice.values)
+        np.testing.assert_array_equal(sample.truth.points, full.samples[i].truth.points)
+
+
+def test_manifest_count_disagreeing_with_n_names_manifest(tmp_path):
+    manifest = _small_dataset(tmp_path)
+    for n in (1, 3):
+        (tmp_path / "manifest.json").write_text(json.dumps(dict(manifest, n=n)))
+        with pytest.raises(FormatError, match=rf"manifest\.json: .*n={n} but 2 samples"):
+            load_dataset(tmp_path)
