@@ -5,6 +5,13 @@ loop (decoder search), test (held-out evaluation), report (table dump).
 All randomness flows from the config's single master seed; wall-clock
 numbers are confined to "timings" objects so runs can be compared
 byte-for-byte without them.
+
+A run directory, of `learn` or `loop`, holds the files of each solution
+(a learn run's at its top level, a loop run's in one candidate_NN/ per
+candidate that finished), results.json of kind "learn" or "loop", and
+manifest.json, written last: `test` and `report` refuse a run without it.
+A rerun touches the directory only after its pipeline has returned, so a
+rerun that fails or is refused leaves the earlier run whole.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .decoder import DecoderParams, DecoderSpace, decoder_grid
 from .encoder import EncoderParams, EncoderSpace, encoder_grid
 from .errors import ConfigError, MissingArtifactError
 from .inferrer import Architecture, TrainConfig, load_model, save_model
-from .pipeline import LearnedSolution, Predictor, learn, loop, test
+from .pipeline import Predictor, learn, loop, test
 from .seeds import derive_seed
 from .storage import load_dataset, read_json, read_manifest, reading, save_dataset, write_json
 
@@ -38,6 +45,11 @@ log = logging.getLogger("msl")
 _SYNTH_STREAM = 1
 _SPLIT_STREAM = 2
 _TRAIN_STREAM = 3
+
+# The files of one learned solution, as `_write_run` writes them.
+_SOLUTION_FILES = (
+    "model.json", "model.msl1", "encoder_params.json", "encoder_table.csv", "trace.csv", "validation_report.json"
+)
 
 
 @dataclass(frozen=True)
@@ -184,15 +196,13 @@ def _parse_decoder_flag(text: str, radius_multiplier: float) -> DecoderParams:
     raise ConfigError(f"--decoder must be 'careless' or 'careful:SIGMA', got {text!r}")
 
 
-def _versions() -> dict:
-    return {"msl": __version__, "numpy": np.__version__, "python": platform.python_version()}
-
-
-def _load_splits(cfg: ExperimentConfig, data_dir: Path, *parts: str) -> list[Dataset]:
+def _load_splits(cfg: ExperimentConfig, data: str | None, *parts: str) -> list[Dataset]:
     """The config's splits named in `parts` ("train", "val", "test") of the
-    dataset in data_dir, read in one pass; no other sample is read. The
-    dataset must have the config's size and seed: another dataset splits
-    differently, so its test split can hold scenes a run trained on."""
+    dataset in directory `data` (default: the config's out_dir/dataset),
+    read in one pass; no other sample is read. The dataset must have the
+    config's size and seed: another dataset splits differently, so its test
+    split can hold scenes a run trained on."""
+    data_dir = Path(data) if data else Path(cfg.out_dir) / "dataset"
     manifest = read_manifest(data_dir)
     for key, expected in (("n", cfg.n), ("seed", cfg.synth.seed)):
         if manifest.get(key) != expected:
@@ -208,21 +218,6 @@ def _load_splits(cfg: ExperimentConfig, data_dir: Path, *parts: str) -> list[Dat
     return splits
 
 
-def _write_manifest(run_dir: Path, cfg_raw: dict, artifacts: list[str], started: float) -> None:
-    for name in artifacts:
-        if not (run_dir / name).exists():
-            raise MissingArtifactError(f"artifact missing at run end: {run_dir / name}")
-    write_json(
-        run_dir / "manifest.json",
-        {
-            "config": cfg_raw,
-            "artifacts": sorted(artifacts),
-            "versions": _versions(),
-            "timings": {"wall_clock_s": time.perf_counter() - started},
-        },
-    )
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -230,29 +225,72 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _solution_artifacts(directory: Path, cfg: ExperimentConfig, solution: LearnedSolution) -> list[str]:
-    """Write one solution's files into `directory`; returns relative names."""
-    directory.mkdir(parents=True, exist_ok=True)
-    save_model(directory, cfg.arch, cfg.train_cfg, solution.inferrer_params)
-    write_json(directory / "encoder_params.json", solution.encoder_params.to_json_dict())
-    _write_csv(
-        directory / "encoder_table.csv",
-        ["threshold", "min_separation", "mean_loss"],
-        ([p.threshold, p.min_separation, repr(loss)] for p, loss in solution.encoder_table),
-    )
-    _write_csv(
-        directory / "trace.csv",
-        ["epoch", "mean_loss"],
-        ([i, repr(float(value))] for i, value in enumerate(solution.epoch_losses)),
-    )
-    write_json(directory / "validation_report.json", solution.validation_report.to_json_dict())
-    return ["model.json", "model.msl1", "encoder_params.json", "encoder_table.csv", "trace.csv", "validation_report.json"]
-
-
-def _fresh_run_dir(run_dir: Path) -> None:
-    """Make run_dir without an earlier run's manifest.json: unfinished until this run ends."""
+def _write_run(run_dir: Path, cfg: ExperimentConfig, results: dict, solutions: dict, started: float) -> None:
+    """Write a run directory from what a pipeline returned: delete the
+    earlier run's manifest.json, write each solution (`{subdirectory:
+    solution}`, "" for the top level), then results.json with the config
+    and timings added, and manifest.json last."""
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "manifest.json").unlink(missing_ok=True)
+    artifacts = ["results.json"]
+    for subdir, solution in solutions.items():
+        directory = run_dir / subdir
+        directory.mkdir(exist_ok=True)
+        save_model(directory, cfg.arch, cfg.train_cfg, solution.inferrer_params)
+        write_json(directory / "encoder_params.json", solution.encoder_params.to_json_dict())
+        _write_csv(
+            directory / "encoder_table.csv",
+            ["threshold", "min_separation", "mean_loss"],
+            ([p.threshold, p.min_separation, repr(loss)] for p, loss in solution.encoder_table),
+        )
+        _write_csv(
+            directory / "trace.csv",
+            ["epoch", "mean_loss"],
+            ([i, repr(float(value))] for i, value in enumerate(solution.epoch_losses)),
+        )
+        write_json(directory / "validation_report.json", solution.validation_report.to_json_dict())
+        artifacts += [(Path(subdir) / name).as_posix() for name in _SOLUTION_FILES]
+    timings = {"wall_clock_s": time.perf_counter() - started}
+    write_json(run_dir / "results.json", dict(results, config=cfg.raw, timings=timings))
+    for name in artifacts:
+        if not (run_dir / name).exists():
+            raise MissingArtifactError(f"artifact missing at run end: {run_dir / name}")
+    write_json(
+        run_dir / "manifest.json",
+        {
+            "config": cfg.raw,
+            "artifacts": sorted(artifacts),
+            "versions": {"msl": __version__, "numpy": np.__version__, "python": platform.python_version()},
+            "timings": timings,
+        },
+    )
+
+
+def _read_run(run_dir: Path) -> tuple[ExperimentConfig, Path, list[tuple]]:
+    """A finished run's stored config, its selected solution's directory and
+    its candidate rows (selected, variant, sigma, radius, validation_loss,
+    error), lowest validation loss first; a learn run is one candidate. A
+    run is finished once its manifest.json, written last, exists."""
+    for name in ("results.json", "manifest.json"):
+        if not (run_dir / name).exists():
+            raise MissingArtifactError(f"run directory has no {name}: {run_dir}")
+    with reading(run_dir / "results.json"):
+        results = read_json(run_dir / "results.json")
+        cfg = parse_config(results["config"])
+        if results["kind"] == "learn":
+            solution_dir, selected_index = run_dir, 0
+            candidates = [{"index": 0, "decoder_params": results["decoder_params"], "error": None,
+                           "validation_loss": results["validation_report"]["loss"]}]
+        else:
+            solution_dir = run_dir / results["selected"]["dir"]
+            candidates, selected_index = results["candidates"], results["selected_index"]
+        rows = []
+        for c in sorted(candidates, key=lambda c: (c["validation_loss"] is None, c["validation_loss"], c["index"])):
+            p = c["decoder_params"]
+            # Checked within `reading`, so that `report` cannot fail on them after printing.
+            numbers = [None if v is None else _finite(v) for v in (p.get("sigma"), p.get("radius"), c["validation_loss"])]
+            rows.append((c["index"] == selected_index, p["variant"], *numbers, c["error"]))
+    return cfg, solution_dir, rows
 
 
 def cmd_gen(args) -> int:
@@ -269,34 +307,26 @@ def cmd_gen(args) -> int:
 def cmd_learn(args) -> int:
     started = time.perf_counter()
     cfg = load_config(Path(args.config))
-    data_dir = Path(args.data) if args.data else Path(cfg.out_dir) / "dataset"
     if args.decoder:
-        decoder_params = _parse_decoder_flag(
-            args.decoder, float(cfg.raw["decoder"]["radius_multiplier"])
-        )
+        decoder_params = _parse_decoder_flag(args.decoder, float(cfg.raw["decoder"]["radius_multiplier"]))
     else:
         decoder_params = cfg.decoder_space.candidates[0]
-    train_split, val_split = _load_splits(cfg, data_dir, "train", "val")
+    train_split, val_split = _load_splits(cfg, args.data, "train", "val")
     run_dir = Path(args.out) if args.out else Path(cfg.out_dir) / "learn"
-    _fresh_run_dir(run_dir)
     log.info("learn: %s on %d train / %d val samples", decoder_params.to_json_dict(), train_split.n, val_split.n)
     solution = learn(
         train_split, val_split, decoder_params, cfg.arch, cfg.train_cfg,
         cfg.encoder_space, cfg.match_tolerance,
     )
-    artifacts = _solution_artifacts(run_dir, cfg, solution)
     results = {
         "kind": "learn",
-        "config": cfg.raw,
         "decoder_params": solution.decoder_params.to_json_dict(),
         "encoder_params": solution.encoder_params.to_json_dict(),
         "validation_report": solution.validation_report.to_json_dict(),
         "epoch_losses": [float(x) for x in solution.epoch_losses],
-        "artifacts": {name: name for name in artifacts},
-        "timings": {"wall_clock_s": time.perf_counter() - started},
+        "artifacts": {name: name for name in _SOLUTION_FILES},
     }
-    write_json(run_dir / "results.json", results)
-    _write_manifest(run_dir, cfg.raw, artifacts + ["results.json"], started)
+    _write_run(run_dir, cfg, results, {"": solution}, started)
     print(f"learn: validation f1 {solution.validation_report.f1:.4f} -> {run_dir}")
     return 0
 
@@ -304,19 +334,14 @@ def cmd_learn(args) -> int:
 def cmd_loop(args) -> int:
     started = time.perf_counter()
     cfg = load_config(Path(args.config))
-    data_dir = Path(args.data) if args.data else Path(cfg.out_dir) / "dataset"
-    train_split, val_split = _load_splits(cfg, data_dir, "train", "val")
+    train_split, val_split = _load_splits(cfg, args.data, "train", "val")
     run_dir = Path(args.out) if args.out else Path(cfg.out_dir) / "loop"
     log.info("loop: %d candidates, %d workers", len(cfg.decoder_space), args.workers)
     result = loop(
         train_split, val_split, cfg.decoder_space, cfg.arch, cfg.train_cfg,
         cfg.encoder_space, cfg.match_tolerance, workers=args.workers,
     )
-    # Only now, so that a refused or failed loop leaves an earlier run whole.
-    _fresh_run_dir(run_dir)
-
-    artifacts: list[str] = []
-    candidates = []
+    candidates, solutions = [], {}
     for i, entry in enumerate(result.entries):
         row = {
             "index": i,
@@ -327,17 +352,14 @@ def cmd_loop(args) -> int:
             "timings": {"seconds": entry.seconds},
         }
         if entry.solution is not None:
-            cand_dir = f"candidate_{i:02d}"
-            names = _solution_artifacts(run_dir / cand_dir, cfg, entry.solution)
-            artifacts.extend(f"{cand_dir}/{name}" for name in names)
-            row["dir"] = cand_dir
+            row["dir"] = f"candidate_{i:02d}"
             row["validation_report"] = entry.solution.validation_report.to_json_dict()
+            solutions[row["dir"]] = entry.solution
         candidates.append(row)
 
     selected = result.entries[result.selected_index]
     results = {
         "kind": "loop",
-        "config": cfg.raw,
         "candidates": candidates,
         "selected_index": result.selected_index,
         "selected": {
@@ -345,10 +367,8 @@ def cmd_loop(args) -> int:
             "validation_loss": selected.validation_loss,
             "dir": f"candidate_{result.selected_index:02d}",
         },
-        "timings": {"wall_clock_s": time.perf_counter() - started},
     }
-    write_json(run_dir / "results.json", results)
-    _write_manifest(run_dir, cfg.raw, artifacts + ["results.json"], started)
+    _write_run(run_dir, cfg, results, solutions, started)
     print(
         f"loop: selected candidate {result.selected_index} "
         f"{selected.decoder_params.to_json_dict()} "
@@ -357,34 +377,14 @@ def cmd_loop(args) -> int:
     return 0
 
 
-def _read_results(run_dir: Path) -> dict:
-    """results.json of a finished run: one whose manifest.json, written
-    last, exists. Read it, and index what it holds, within
-    `reading(run_dir / "results.json")`."""
-    for name in ("results.json", "manifest.json"):
-        if not (run_dir / name).exists():
-            raise MissingArtifactError(f"run directory has no {name}: {run_dir}")
-    return read_json(run_dir / "results.json")
-
-
 def cmd_test(args) -> int:
     run_dir = Path(args.run)
-    with reading(run_dir / "results.json"):
-        results = _read_results(run_dir)
-        # The stored config is part of the run: a bad one is a FormatError.
-        cfg = parse_config(results["config"])
-        sol_dir = run_dir if results["kind"] == "learn" else run_dir / results["selected"]["dir"]
-
-    for name in ("model.json", "model.msl1", "encoder_params.json"):
-        if not (sol_dir / name).exists():
-            raise MissingArtifactError(f"missing artifact: {sol_dir / name}")
-    encoder_path = sol_dir / "encoder_params.json"
+    cfg, solution_dir, _ = _read_run(run_dir)
+    encoder_path = solution_dir / "encoder_params.json"
     with reading(encoder_path):
         encoder_params = EncoderParams.from_json_dict(read_json(encoder_path))
-    predictor = Predictor(load_model(sol_dir)[2], encoder_params)
-
-    data_dir = Path(args.data) if args.data else Path(cfg.out_dir) / "dataset"
-    (test_split,) = _load_splits(cfg, data_dir, "test")
+    predictor = Predictor(load_model(solution_dir)[2], encoder_params)
+    (test_split,) = _load_splits(cfg, args.data, "test")
     test_report = test(test_split, predictor, cfg.match_tolerance)
     write_json(run_dir / "test_report.json", test_report.to_json_dict())
     print(
@@ -394,52 +394,23 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _report_rows(results: dict) -> list[dict]:
-    """Candidate rows, lowest validation loss first; a learn run is one candidate."""
-    if results["kind"] == "learn":
-        candidates = [
-            {
-                "index": 0,
-                "decoder_params": results["decoder_params"],
-                "validation_loss": results["validation_report"]["loss"],
-                "error": None,
-            }
-        ]
-        selected_index = 0
-    else:
-        candidates, selected_index = results["candidates"], results["selected_index"]
-    rows = [dict(c, selected=c["index"] == selected_index) for c in candidates]
-    rows.sort(key=lambda r: (r["validation_loss"] is None, r["validation_loss"], r["index"]))
-    return rows
-
-
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
-    lines, records = [], []
-    with reading(run_dir / "results.json"):
-        for row in _report_rows(_read_results(run_dir)):
-            params = row["decoder_params"]
-            variant, sigma, radius = params["variant"], params.get("sigma"), params.get("radius")
-            loss = row["validation_loss"]
-            lines.append(
-                f"{'*' if row['selected'] else '':>3} "
-                f"{variant:>9} "
-                f"{'' if sigma is None else f'{sigma:g}':>6} "
-                f"{'' if radius is None else f'{radius:g}':>6} "
-                f"{'failed' if loss is None else f'{loss:.6f}':>10}"
-            )
-            records.append([
-                variant,
-                "" if sigma is None else sigma,
-                "" if radius is None else radius,
-                "" if loss is None else repr(loss),
-                int(row["selected"]),
-                row["error"] or "",
-            ])
-
+    rows = _read_run(run_dir)[2]
     print(f"{'sel':>3} {'variant':>9} {'sigma':>6} {'radius':>6} {'val_loss':>10}")
-    for line in lines:
-        print(line)
+    records = []
+    for selected, variant, sigma, radius, loss, error in rows:
+        print(
+            f"{'*' if selected else '':>3} "
+            f"{variant:>9} "
+            f"{'' if sigma is None else f'{sigma:g}':>6} "
+            f"{'' if radius is None else f'{radius:g}':>6} "
+            f"{'failed' if loss is None else f'{loss:.6f}':>10}"
+        )
+        records.append([
+            variant, "" if sigma is None else sigma, "" if radius is None else radius,
+            "" if loss is None else repr(loss), int(selected), error or "",
+        ])
     csv_path = run_dir / "report.csv"
     _write_csv(csv_path, ["variant", "sigma", "radius", "validation_loss", "selected", "error"], records)
     print(f"report: {csv_path}")
@@ -497,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (MissingArtifactError, FileNotFoundError) as exc:
+    except FileNotFoundError as exc:  # MissingArtifactError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # divergence, loop failure, format errors

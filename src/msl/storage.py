@@ -76,12 +76,15 @@ def _sample_names(index: int) -> tuple[str, str]:
 
 
 def save_dataset(ds: Dataset, directory: Path, seed: int, config_echo: dict) -> Path:
-    """Write a dataset directory: manifest.json plus one lattice and one
-    points file per sample. Returns the manifest path."""
+    """Write a dataset directory: one lattice and one points file per
+    sample, then manifest.json. An earlier manifest.json goes first, so a
+    save that stops partway leaves none. Returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if ds.n == 0:
         raise FormatError("refusing to save an empty dataset")
+    manifest_path = directory / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     width, height = ds.samples[0].lattice.shape
     entries = []
     for i, sample in enumerate(ds.samples):
@@ -98,7 +101,6 @@ def save_dataset(ds: Dataset, directory: Path, seed: int, config_echo: dict) -> 
         "config": config_echo,
         "samples": entries,
     }
-    manifest_path = directory / "manifest.json"
     write_json(manifest_path, manifest)
     return manifest_path
 

@@ -10,9 +10,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _one_round(workload: str) -> list[str]:
-    """stdout lines of one untraced round of `workload`, checked correct."""
-    argv = ["bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0"]
+def _one_round(workload: str, trace: int = 0) -> list[str]:
+    """stdout lines of one round of `workload`, traced if `trace`, checked correct."""
+    argv = ["bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", str(trace)]
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
@@ -25,6 +25,12 @@ def _one_round(workload: str) -> list[str]:
 
 def test_cli_roundtrip_round_is_correct():
     _one_round("cli-roundtrip")
+
+
+def test_traced_cli_roundtrip_round_is_correct():
+    # The tracer looks up the cli and storage names it rebinds by name, and
+    # only a traced round does so: a renamed command fails here.
+    _one_round("cli-roundtrip", trace=1)
 
 
 def test_search_round_is_correct():

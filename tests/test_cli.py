@@ -186,23 +186,38 @@ class TestTest:
             assert main([command, "--run", str(out)]) == 1
             assert "manifest.json" in capsys.readouterr().err
 
-    def test_interrupted_rerun_refused(self, workspace, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["learn", "loop"])
+    def test_interrupted_rerun_refused(self, workspace, tmp_path, capsys, monkeypatch, command):
+        # A rerun touches the run directory only once its pipeline has
+        # returned, and removes manifest.json before its first write.
         root, cfg_path, cfg = workspace
         out = tmp_path / "rerun"
-        assert main(["learn", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rerun = [command, "--config", str(cfg_path), "--out", str(out)]
+        assert main(rerun) == 0
+        assert main(["test", "--run", str(out)]) == 0
+        whole = (out / "test_report.json").read_bytes()
+        (out / "test_report.json").unlink()
 
         def killed(*args, **kwargs):
             raise RuntimeError("killed partway")
 
-        monkeypatch.setattr(msl.cli, "learn", killed)
-        assert main(["learn", "--config", str(cfg_path), "--out", str(out)]) == 1
+        # Failed before any write: the earlier run is whole.
+        with monkeypatch.context() as patch:
+            patch.setattr(msl.cli, command, killed)
+            assert main(rerun) == 1
+        assert main(["test", "--run", str(out)]) == 0
+        assert (out / "test_report.json").read_bytes() == whole
+
+        # Failed during the writes: the run is refused.
+        monkeypatch.setattr(msl.cli, "save_model", killed)
+        assert main(rerun) == 1
         assert not (out / "manifest.json").exists()
         capsys.readouterr()
-        for command in ("test", "report"):
-            assert main([command, "--run", str(out)]) == 1
+        for reader in ("test", "report"):
+            assert main([reader, "--run", str(out)]) == 1
             assert "has no manifest.json" in capsys.readouterr().err
             with pytest.raises(MissingArtifactError):
-                getattr(msl.cli, f"cmd_{command}")(SimpleNamespace(run=str(out), data=None))
+                getattr(msl.cli, f"cmd_{reader}")(SimpleNamespace(run=str(out), data=None))
 
     def test_dataset_of_another_size_or_seed_refused(self, workspace, tmp_path, capsys):
         root, cfg_path, cfg = workspace
@@ -260,9 +275,10 @@ class TestTest:
             ("results.json", truncated, ["test", "report"]),
             ("results.json", edited(lambda o: o.pop("kind")), ["test", "report"]),
             ("results.json", edited(lambda o: o["decoder_params"].pop("variant")), ["report"]),
+            ("results.json", edited(lambda o: o["decoder_params"].update(sigma="abc")), ["report"]),
             # The stored config is part of the run, not a config the user gave.
-            ("results.json", edited(lambda o: o["config"]["inferrer"].pop("epochs")), ["test"]),
-            ("results.json", edited(lambda o: o["config"]["inferrer"].update(epochs=0)), ["test"]),
+            ("results.json", edited(lambda o: o["config"]["inferrer"].pop("epochs")), ["test", "report"]),
+            ("results.json", edited(lambda o: o["config"]["inferrer"].update(epochs=0)), ["test", "report"]),
         ]
         capsys.readouterr()
         for case, (name, corrupt, commands) in enumerate(corruptions):

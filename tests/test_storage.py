@@ -6,7 +6,8 @@ import pytest
 
 from msl.data import generate_dataset, SynthConfig
 from msl.errors import FormatError
-from msl.storage import load_dataset, read_msl1, save_dataset, write_msl1
+from msl import storage
+from msl.storage import load_dataset, read_manifest, read_msl1, save_dataset, write_msl1
 
 
 def test_header_layout(tmp_path):
@@ -155,3 +156,22 @@ def test_manifest_count_disagreeing_with_n_names_manifest(tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps(dict(manifest, n=n)))
         with pytest.raises(FormatError, match=rf"manifest\.json: .*n={n} but 2 samples"):
             load_dataset(tmp_path)
+
+
+def test_save_stopped_partway_leaves_no_manifest(tmp_path, monkeypatch):
+    # Over an existing dataset, the old manifest must not survive a save that
+    # stops partway: it would list a mix of old and new sample files.
+    _small_dataset(tmp_path, n=4)
+    real, calls = storage.write_msl1, []
+
+    def stops_partway(path, values):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("stopped partway")
+        real(path, values)
+
+    monkeypatch.setattr(storage, "write_msl1", stops_partway)
+    with pytest.raises(OSError, match="stopped partway"):
+        _small_dataset(tmp_path, n=4)
+    with pytest.raises(FileNotFoundError):
+        read_manifest(tmp_path)
