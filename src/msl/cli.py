@@ -93,6 +93,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _string(value) -> str:
+    """The value, if it is a string: str() would turn null into the directory "None"."""
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
 def _require(section: dict, key: str, where: str, kind):
     """section[key] converted by `kind`; a missing or unconvertible value is
     a ConfigError naming the field."""
@@ -104,73 +111,49 @@ def _require(section: dict, key: str, where: str, kind):
         raise ConfigError(f"field '{where}{key}' has an invalid value {section[key]!r}")
 
 
+def _section(raw: dict, name: str, **kinds) -> dict:
+    """The fields of section raw[name] that `kinds` names, in that order, each
+    converted by its kind; a missing or invalid one is a ConfigError naming its path."""
+    section = _require(raw, name, "", dict)
+    return {key: _require(section, key, f"{name}.", kind) for key, kind in kinds.items()}
+
+
+# The synth fields that make a SynthConfig, with the seed derived from the master seed.
+_SYNTH_FIELDS = dict(
+    width=_integer, height=_integer, blob_count_min=_integer, blob_count_max=_integer,
+    blob_amplitude=_finite, blob_radius=_finite, min_separation=_finite, noise_std=_finite,
+)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     master_seed = _require(raw, "seed", "", _integer)
-    out_dir = _require(raw, "out_dir", "", str)
-
-    s = _require(raw, "synth", "", dict)
-    synth = SynthConfig(
-        width=_require(s, "width", "synth.", _integer),
-        height=_require(s, "height", "synth.", _integer),
-        blob_count_min=_require(s, "blob_count_min", "synth.", _integer),
-        blob_count_max=_require(s, "blob_count_max", "synth.", _integer),
-        blob_amplitude=_require(s, "blob_amplitude", "synth.", _finite),
-        blob_radius=_require(s, "blob_radius", "synth.", _finite),
-        min_separation=_require(s, "min_separation", "synth.", _finite),
-        noise_std=_require(s, "noise_std", "synth.", _finite),
-        seed=derive_seed(master_seed, _SYNTH_STREAM),
-    )
-    n = _require(s, "n", "synth.", _integer)
-    fractions = tuple(_require(s, "fractions", "synth.", _floats))
+    out_dir = _require(raw, "out_dir", "", _string)
+    synth = SynthConfig(**_section(raw, "synth", **_SYNTH_FIELDS), seed=derive_seed(master_seed, _SYNTH_STREAM))
+    n, fractions = _section(raw, "synth", n=_integer, fractions=_floats).values()
     if len(fractions) != 3:
         raise ConfigError("'synth.fractions' must be [train, val, test]")
     split_sizes(n, fractions)
 
-    d = _require(raw, "decoder", "", dict)
-    include_careless = d.get("include_careless", False)
+    include_careless = _require(raw, "decoder", "", dict).get("include_careless", False)
     if not isinstance(include_careless, bool):
         raise ConfigError(f"field 'decoder.include_careless' must be true or false, got {include_careless!r}")
     decoder_space = decoder_grid(
-        _require(d, "sigmas", "decoder.", _floats),
-        _require(d, "radius_multiplier", "decoder.", _finite),
-        include_careless=include_careless,
+        **_section(raw, "decoder", sigmas=_floats, radius_multiplier=_finite), include_careless=include_careless
     )
-
-    i = _require(raw, "inferrer", "", dict)
-    arch = Architecture(
-        context_radius=_require(i, "context_radius", "inferrer.", _integer),
-        hidden_units=_require(i, "hidden_units", "inferrer.", _integer),
-    )
+    arch = Architecture(**_section(raw, "inferrer", context_radius=_integer, hidden_units=_integer))
     train_cfg = TrainConfig(
-        epochs=_require(i, "epochs", "inferrer.", _integer),
-        learning_rate=_require(i, "learning_rate", "inferrer.", _finite),
-        batch_pixels=_require(i, "batch_pixels", "inferrer.", _integer),
+        **_section(raw, "inferrer", epochs=_integer, learning_rate=_finite, batch_pixels=_integer),
         seed=derive_seed(master_seed, _TRAIN_STREAM),
     )
-
-    e = _require(raw, "encoder", "", dict)
-    encoder_space = encoder_grid(
-        _require(e, "thresholds", "encoder.", _floats),
-        _require(e, "min_separations", "encoder.", _floats),
-    )
-
-    m = _require(raw, "metrics", "", dict)
-    match_tolerance = _require(m, "match_tolerance", "metrics.", _finite)
+    encoder_space = encoder_grid(*_section(raw, "encoder", thresholds=_floats, min_separations=_floats).values())
+    match_tolerance = _section(raw, "metrics", match_tolerance=_finite)["match_tolerance"]
     if match_tolerance <= 0.0:
         raise ConfigError("'metrics.match_tolerance' must be positive")
 
     return ExperimentConfig(
-        master_seed=master_seed,
-        out_dir=out_dir,
-        synth=synth,
-        n=n,
-        fractions=fractions,
-        decoder_space=decoder_space,
-        arch=arch,
-        train_cfg=train_cfg,
-        encoder_space=encoder_space,
-        match_tolerance=match_tolerance,
-        raw=raw,
+        master_seed=master_seed, out_dir=out_dir, synth=synth, n=n, fractions=tuple(fractions),
+        decoder_space=decoder_space, arch=arch, train_cfg=train_cfg, encoder_space=encoder_space,
+        match_tolerance=match_tolerance, raw=raw,
     )
 
 
@@ -200,14 +183,24 @@ def _load_splits(cfg: ExperimentConfig, data: str | None, *parts: str) -> list[D
     """The config's splits named in `parts` ("train", "val", "test") of the
     dataset in directory `data` (default: the config's out_dir/dataset),
     read in one pass; no other sample is read. The dataset must have the
-    config's size and seed: another dataset splits differently, so its test
-    split can hold scenes a run trained on."""
+    config's size and seed, and its manifest's echoed synth section the
+    config's image settings: another dataset splits differently, or holds
+    other images, so a run's config would not describe its data. The split
+    fractions may differ, since the split is cut here."""
     data_dir = Path(data) if data else Path(cfg.out_dir) / "dataset"
     manifest = read_manifest(data_dir)
     for key, expected in (("n", cfg.n), ("seed", cfg.synth.seed)):
         if manifest.get(key) != expected:
             raise ConfigError(
                 f"dataset {data_dir} has {key} {manifest.get(key)!r}, but the config gives synth {key} {expected!r}"
+            )
+    with reading(data_dir / "manifest.json"):
+        made = SynthConfig(**_section(manifest["config"], "synth", **_SYNTH_FIELDS), seed=cfg.synth.seed)
+    for key in _SYNTH_FIELDS:
+        if getattr(made, key) != getattr(cfg.synth, key):
+            raise ConfigError(
+                f"dataset {data_dir} has synth {key} {getattr(made, key)!r}, "
+                f"but the config gives synth {key} {getattr(cfg.synth, key)!r}"
             )
     indices = dict(zip(("train", "val", "test"), split_indices(cfg.n, cfg.fractions, cfg.split_seed)))
     ds, _ = load_dataset(data_dir, np.concatenate([indices[part] for part in parts]))

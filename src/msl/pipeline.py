@@ -131,7 +131,8 @@ def loop(
     Each candidate trains under its own sub-seed of train_cfg.seed, so
     the result does not depend on worker count or evaluation order.
     Diverged candidates stay in the table as failed entries. Fewer than
-    one worker is a ConfigError.
+    one worker is a ConfigError. The pool has at most one process per
+    candidate: a forked pool starts all of its processes at its first job.
     """
     if workers < 1:
         raise ConfigError(f"workers (msl loop --workers) must be at least 1, got {workers}")
@@ -139,6 +140,7 @@ def loop(
         (i, candidate, train_split, val_split, arch, train_cfg, encoder_space, match_tolerance)
         for i, candidate in enumerate(decoder_space.candidates)
     ]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = tuple(pool.map(_evaluate_candidate, jobs))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import struct
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -60,15 +59,20 @@ def read_json(path: Path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-@contextmanager
-def reading(path: Path):
+class reading:
     """Within the block, a missing key or a bad value is a FormatError
     naming `path`, the file the block reads. Call `read_msl1` outside it:
     its FormatError names the file already."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc!r}") from exc
+
+    def __init__(self, path: Path):
+        self.path = path
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, (KeyError, TypeError, ValueError)):
+            raise FormatError(f"{self.path}: {exc!r}") from exc
 
 
 def _sample_names(index: int) -> tuple[str, str]:
@@ -131,8 +135,6 @@ def load_dataset(directory: Path, indices=None) -> tuple[Dataset, dict]:
             (entries[i]["lattice"], entries[i]["points"])
             for i in (range(len(entries)) if indices is None else indices)
         ]
-    # Inline try blocks per sample, not `reading`, which made this loop 8%
-    # slower (97 against 90 ms on 1000 32x32 samples, shared 2-core x86-64).
     samples = []
     for lattice_name, points_name in names:
         values = read_msl1(directory / lattice_name)
@@ -141,14 +143,10 @@ def load_dataset(directory: Path, indices=None) -> tuple[Dataset, dict]:
                 f"{directory / lattice_name}: lattice is {values.shape[1]}x{values.shape[0]}, "
                 f"the manifest gives {shape[1]}x{shape[0]}"
             )
-        try:
+        with reading(directory / lattice_name):
             lattice = ImageLattice(values)
-        except ValueError as exc:
-            raise FormatError(f"{directory / lattice_name}: {exc!r}") from exc
-        try:
+        with reading(directory / points_name):
             pairs = read_json(directory / points_name)
             points = PointSet(np.asarray(pairs, dtype=np.float64).reshape(len(pairs), 2))
             samples.append(Sample(lattice=lattice, truth=points))
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{directory / points_name}: {exc!r}") from exc
     return Dataset(tuple(samples)), manifest

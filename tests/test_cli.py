@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import shutil
@@ -9,7 +10,7 @@ import pytest
 
 import msl.cli
 from msl import inferrer, storage
-from msl.cli import load_config, main
+from msl.cli import build_parser, load_config, main
 from msl.data import split, split_indices
 from msl.encoder import EncoderParams
 from msl.errors import MissingArtifactError
@@ -243,6 +244,52 @@ class TestTest:
         assert "has n 40" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dataset_of_other_synth_settings_refused(self, workspace, tmp_path, capsys):
+        root, cfg_path, cfg = workspace
+        other = small_config_dict(str(tmp_path / "exp"))
+        other["synth"].update(width=28, blob_amplitude=0.5)
+        dataset = tmp_path / "wide"
+        assert main(["gen", "--config", str(write_config(tmp_path / "wide.json", other)), "--out", str(dataset)]) == 0
+        capsys.readouterr()
+        out, run = tmp_path / "mismatched", tmp_path / "run"
+        shutil.copytree(Path(cfg["out_dir"]) / "loop", run)
+        (run / "test_report.json").unlink(missing_ok=True)
+        for command in (["learn", "--config", str(cfg_path), "--out", str(out)], ["test", "--run", str(run)]):
+            assert main([*command, "--data", str(dataset)]) == 2
+            err = capsys.readouterr().err
+            # The first field that differs is named.
+            assert err == f"config error: dataset {dataset} has synth width 28, but the config gives synth width 24\n"
+        assert not out.exists()
+        assert not (run / "test_report.json").exists()
+
+    def test_dataset_of_other_split_fractions_accepted(self, workspace, tmp_path):
+        # The split is cut at load, so the fractions a dataset was made with do not matter.
+        root, cfg_path, cfg = workspace
+        other = small_config_dict(str(tmp_path / "exp"))
+        other["synth"]["fractions"] = [0.6, 0.2, 0.2]
+        dataset = tmp_path / "resplit"
+        assert main(["gen", "--config", str(write_config(tmp_path / "resplit.json", other)), "--out", str(dataset)]) == 0
+        run = tmp_path / "run"
+        shutil.copytree(Path(cfg["out_dir"]) / "loop", run)
+        assert main(["test", "--run", str(run)]) == 0
+        own = (run / "test_report.json").read_bytes()
+        assert main(["test", "--run", str(run), "--data", str(dataset)]) == 0
+        assert (run / "test_report.json").read_bytes() == own
+
+    def test_dataset_echo_that_does_not_parse_is_a_format_error(self, workspace, tmp_path, capsys):
+        root, cfg_path, cfg = workspace
+        dataset = tmp_path / "data"
+        shutil.copytree(Path(cfg["out_dir"]) / "dataset", dataset)
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        del manifest["config"]["synth"]["width"]
+        (dataset / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for command in (["learn", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+                        ["test", "--run", str(Path(cfg["out_dir"]) / "loop")]):
+            assert main([*command, "--data", str(dataset)]) == 1
+            err = capsys.readouterr().err
+            assert f"FormatError: {dataset / 'manifest.json'}: " in err and "synth.width" in err
+
     def test_corrupt_artifact_is_a_format_error_naming_its_file(self, workspace, tmp_path, capsys):
         # A corrupt artifact exits 1 and names its file: it is no config
         # error, and no bare KeyError or ValueError.
@@ -381,6 +428,17 @@ class TestLogging:
         )
 
 
+def _required_paths() -> list[str]:
+    """Every required config path: the top-level fields and sections, and
+    each section's fields (decoder.include_careless is optional)."""
+    paths = []
+    for key, value in small_config_dict("exp").items():
+        paths.append(key)
+        if isinstance(value, dict):
+            paths += [f"{key}.{field}" for field in value if field != "include_careless"]
+    return paths
+
+
 class TestConfigValidation:
     def test_bad_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -431,6 +489,33 @@ class TestConfigValidation:
         assert "config error" in err and field in err
         assert not (tmp_path / "exp").exists()
 
+    @pytest.mark.parametrize("path", _required_paths())
+    @pytest.mark.parametrize("fault", ["deleted", "null"])
+    def test_every_required_field_names_its_path(self, tmp_path, capsys, monkeypatch, path, fault):
+        monkeypatch.chdir(tmp_path)
+        cfg = small_config_dict(str(tmp_path / "exp"))
+        *section, key = path.split(".")
+        holder = cfg[section[0]] if section else cfg
+        if fault == "deleted":
+            del holder[key]
+            expected = f"missing required field '{path}'"
+        else:
+            holder[key] = None
+            expected = f"field '{path}' has an invalid value None"
+        assert main(["gen", "--config", str(write_config(tmp_path / "config.json", cfg))]) == 2
+        assert capsys.readouterr().err == f"config error: {expected}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("value", [None, 123, ["a"]])
+    def test_out_dir_must_be_a_string(self, tmp_path, capsys, monkeypatch, value):
+        # str() would make these the directories None, 123 and ['a'].
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path / "config.json", small_config_dict(value))
+        assert main(["gen", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "out_dir" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_unknown_decoder_flag_rejected(self, workspace, tmp_path, capsys):
         root, cfg_path, cfg = workspace
         for flag in ("bogus", "careful:abc", "careful:nan", "careful:inf"):
@@ -438,3 +523,16 @@ class TestConfigValidation:
             assert main(["learn", "--config", str(cfg_path), "--out", str(out), "--decoder", flag]) == 2
             assert "config error" in capsys.readouterr().err
             assert not out.exists()
+
+
+def test_user_settable_surface_is_pinned():
+    # Each subcommand's options. A new flag or subcommand must be added here on purpose.
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: sorted(o for a in sub._actions for o in a.option_strings) for name, sub in commands.items()}
+    assert surface == {
+        "gen": ["--config", "--help", "--out", "-h"],
+        "learn": ["--config", "--data", "--decoder", "--help", "--out", "-h"],
+        "loop": ["--config", "--data", "--help", "--out", "--workers", "-h"],
+        "test": ["--data", "--help", "--run", "-h"],
+        "report": ["--help", "--run", "-h"],
+    }

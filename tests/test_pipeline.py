@@ -113,6 +113,38 @@ class TestLoop:
             assert a.validation_loss == b.validation_loss
             assert np.array_equal(a.solution.inferrer_params.w1, b.solution.inferrer_params.w1)
 
+    def test_pool_has_at_most_one_process_per_candidate(self, monkeypatch):
+        # A stand-in pool records its size and maps in this process: no
+        # process is started.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return None
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        def table(result):
+            return result.selected_index, [(e.decoder_params, e.validation_loss, e.error) for e in result.entries]
+
+        tr, va, te, arch, cfg, dec_space, enc_space, tau = small_world()
+        serial = loop(tr, va, dec_space, arch, cfg, enc_space, tau, workers=1)
+        monkeypatch.setattr(msl.pipeline, "ProcessPoolExecutor", InProcessPool)
+        capped = loop(tr, va, dec_space, arch, cfg, enc_space, tau, workers=4)
+        assert sizes == [len(dec_space)] == [2]
+        assert table(capped) == table(serial)
+        # One candidate runs in this process, whatever the worker count.
+        single = DecoderSpace((DecoderParams.careful(1.5, 4.5),))
+        loop(tr, va, single, arch, cfg, enc_space, tau, workers=4)
+        assert sizes == [2]
+
     def test_failed_candidate_recorded_and_excluded(self, monkeypatch):
         tr, va, te, arch, cfg, dec_space, enc_space, tau = small_world()
         real_learn = msl.pipeline.learn
