@@ -190,9 +190,9 @@ def _load_splits(cfg: ExperimentConfig, data: str | None, *parts: str) -> list[D
     data_dir = Path(data) if data else Path(cfg.out_dir) / "dataset"
     manifest = read_manifest(data_dir)
     for key, expected in (("n", cfg.n), ("seed", cfg.synth.seed)):
-        if manifest.get(key) != expected:
+        if manifest[key] != expected:
             raise ConfigError(
-                f"dataset {data_dir} has {key} {manifest.get(key)!r}, but the config gives synth {key} {expected!r}"
+                f"dataset {data_dir} has {key} {manifest[key]!r}, but the config gives synth {key} {expected!r}"
             )
     with reading(data_dir / "manifest.json"):
         made = SynthConfig(**_section(manifest["config"], "synth", **_SYNTH_FIELDS), seed=cfg.synth.seed)
@@ -276,10 +276,14 @@ def _read_run(run_dir: Path) -> tuple[ExperimentConfig, Path, list[tuple]]:
                            "validation_loss": results["validation_report"]["loss"]}]
         else:
             solution_dir = run_dir / results["selected"]["dir"]
-            candidates, selected_index = results["candidates"], results["selected_index"]
+            candidates, selected_index = results["candidates"], _integer(results["selected_index"])
+            if selected_index not in [c["index"] for c in candidates]:
+                raise ValueError(f"selected_index {selected_index} is not the index of a listed candidate")
         rows = []
         for c in sorted(candidates, key=lambda c: (c["validation_loss"] is None, c["validation_loss"], c["index"])):
             p = c["decoder_params"]
+            if not isinstance(p, dict):
+                raise TypeError(f"decoder_params {p!r} is not an object")
             # Checked within `reading`, so that `report` cannot fail on them after printing.
             numbers = [None if v is None else _finite(v) for v in (p.get("sigma"), p.get("radius"), c["validation_loss"])]
             rows.append((c["index"] == selected_index, p["variant"], *numbers, c["error"]))

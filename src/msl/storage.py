@@ -110,11 +110,17 @@ def save_dataset(ds: Dataset, directory: Path, seed: int, config_echo: dict) -> 
 
 
 def read_manifest(directory: Path) -> dict:
-    """A dataset directory's manifest.json. A missing key, or a samples
-    list whose length is not n, is a FormatError naming the file."""
+    """A dataset directory's manifest.json. A missing key, a width, height
+    or n that is not a positive integer, a seed that is not a non-negative
+    integer, or a samples list whose length is not n, is a FormatError
+    naming the file."""
     manifest_path = Path(directory) / "manifest.json"
     with reading(manifest_path):
         manifest = read_json(manifest_path)
+        for key, least in (("width", 1), ("height", 1), ("n", 1), ("seed", 0)):
+            value = manifest[key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{key} is {value!r}, not an integer >= {least}")
         n, count = manifest["n"], len(manifest["samples"])
         if count != n:
             raise ValueError(f"manifest lists n={n} but {count} samples")

@@ -13,7 +13,7 @@ from msl import inferrer, storage
 from msl.cli import build_parser, load_config, main
 from msl.data import split, split_indices
 from msl.encoder import EncoderParams
-from msl.errors import MissingArtifactError
+from msl.errors import FormatError, MissingArtifactError
 from msl.pipeline import Predictor, learn, test
 
 from helpers import (
@@ -336,6 +336,65 @@ class TestTest:
                 assert main([command, "--run", str(run)]) == 1, (command, name)
                 err = capsys.readouterr().err
                 assert f"FormatError: {run / name}: " in err, err
+
+    def test_learn_decoder_params_not_an_object_is_a_format_error(self, workspace, tmp_path, capsys):
+        root, cfg_path, cfg = workspace
+        learned = tmp_path / "learned"
+        assert main(["learn", "--config", str(cfg_path), "--out", str(learned)]) == 0
+        for case, value in enumerate([None, "abc", -1, []]):
+            run = tmp_path / f"case{case}"
+            shutil.copytree(learned, run)
+            results = json.loads((run / "results.json").read_text())
+            results["decoder_params"] = value
+            (run / "results.json").write_text(json.dumps(results))
+            capsys.readouterr()
+            for command in ("test", "report"):
+                assert main([command, "--run", str(run)]) == 1, (command, value)
+                assert f"FormatError: {run / 'results.json'}: " in capsys.readouterr().err
+            assert not (run / "test_report.json").exists() and not (run / "report.csv").exists()
+
+    def test_loop_selected_index_of_no_listed_candidate_is_a_format_error(self, workspace, tmp_path, capsys):
+        # The small config lists candidates 0 and 1.
+        root, cfg_path, cfg = workspace
+        for case, value in enumerate([None, "abc", -1, 2, [], {}]):
+            run = tmp_path / f"case{case}"
+            shutil.copytree(Path(cfg["out_dir"]) / "loop", run)
+            (run / "test_report.json").unlink(missing_ok=True)
+            (run / "report.csv").unlink(missing_ok=True)
+            results = json.loads((run / "results.json").read_text())
+            assert [c["index"] for c in results["candidates"]] == [0, 1]
+            results["selected_index"] = value
+            (run / "results.json").write_text(json.dumps(results))
+            capsys.readouterr()
+            for command in ("report", "test"):
+                assert main([command, "--run", str(run)]) == 1, (command, value)
+                captured = capsys.readouterr()
+                assert f"FormatError: {run / 'results.json'}: " in captured.err
+                assert captured.out == ""
+            assert not (run / "test_report.json").exists() and not (run / "report.csv").exists()
+
+    def test_manifest_size_or_seed_that_is_no_integer_is_a_format_error(self, workspace, tmp_path, capsys):
+        # Named before any sample is read: the copy holds no sample file.
+        root, cfg_path, cfg = workspace
+        manifest = json.loads((Path(cfg["out_dir"]) / "dataset" / "manifest.json").read_text())
+        run = Path(cfg["out_dir"]) / "loop"
+        corruptions = [(key, value) for key in ("width", "height") for value in (None, "abc", -1, 0, [], 24.0)]
+        corruptions += [("seed", value) for value in (None, "abc", -1, 1.5)] + [("seed", "deleted")]
+        for case, (key, value) in enumerate(corruptions):
+            dataset = tmp_path / f"case{case}"
+            dataset.mkdir()
+            corrupt = dict(manifest)
+            if value == "deleted":
+                del corrupt[key]
+            else:
+                corrupt[key] = value
+            (dataset / "manifest.json").write_text(json.dumps(corrupt))
+            with pytest.raises(FormatError, match=rf"{dataset / 'manifest.json'}: .*{key}"):
+                storage.read_manifest(dataset)
+            capsys.readouterr()
+            command = ["test", "--run", str(run), "--data", str(dataset)]
+            assert main(command) == 1, (key, value)
+            assert f"FormatError: {dataset / 'manifest.json'}: " in capsys.readouterr().err
 
     def test_no_decoder_invocation_during_test(self, workspace, decode_calls):
         root, _, cfg = workspace

@@ -147,12 +147,29 @@ class TestInfer:
         assert abs(out[0, 0] - expected) < 1e-12
 
 
+def lattices_of(values: np.ndarray) -> list[np.ndarray]:
+    """The lattices of one `_predict` call: the lattice, or each of a stack's."""
+    return list(values.reshape((-1,) + values.shape[-2:]))
+
+
 class TestInferMaps:
     @staticmethod
     def lattices(n, rng):
         # Shapes differ from lattice to lattice, so that a map out of order
         # could not pass for the right one.
         return [ImageLattice(rng.uniform(0, 1, size=(5 + k, 7 + 2 * k))) for k in range(n)]
+
+    @staticmethod
+    def use_layout(monkeypatch, layout, n, rng):
+        """n lattices cut as `layout` says: "single", one lattice of its own
+        shape a piece, or "stacked", lattices of one 6x8 shape in pieces of
+        four, each two stacks of two. Returns the lattices."""
+        if layout == "single":
+            monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 1)
+            return TestInferMaps.lattices(n, rng)
+        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 4 * 48)
+        monkeypatch.setattr(inferrer, "_STACK_PIXELS", 2 * 48)
+        return [ImageLattice(rng.uniform(0, 1, size=(6, 8))) for _ in range(n)]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -211,26 +228,30 @@ class TestInferMaps:
                 inferrer.infer_maps(lattices, params, then=failing_then)
             assert threading.active_count() == before
 
-            # A failure on either thread reaches the caller once the worker has exited.
+            # A failure on either thread reaches the caller once the worker
+            # has exited, from a lattice alone or from a stack.
             predict = inferrer._predict
 
             def failing(values, c, weights, ws):
-                if values.shape == lattices[-1].values.shape:
+                if any(v.tobytes() == last.tobytes() for v in lattices_of(values)):
                     raise MemoryError("out of memory on the last lattice")
                 return predict(values, c, weights, ws)
 
             monkeypatch.setattr(inferrer, "_predict", failing)
-            with pytest.raises(MemoryError, match="last lattice"):
-                inferrer.infer_maps(lattices, params)
-            assert threading.active_count() == before
+            for layout in ("single", "stacked"):
+                given = self.use_layout(monkeypatch, layout, 12, rng)
+                last = given[-1].values
+                with pytest.raises(MemoryError, match="last lattice"):
+                    inferrer.infer_maps(given, params)
+                assert threading.active_count() == before
 
         run_bounded(body)
 
-    def test_worker_failure_on_its_first_piece_reaches_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("layout", ["single", "stacked"])
+    def test_worker_failure_on_its_first_piece_reaches_the_caller(self, monkeypatch, layout):
         rng = np.random.default_rng(46)
         params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
-        lattices = self.lattices(6, rng)
-        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 1)
+        lattices = self.use_layout(monkeypatch, layout, 12, rng)
         predict = inferrer._predict
         worker_failed = threading.Event()
 
@@ -255,14 +276,16 @@ class TestInferMaps:
 
         run_bounded(body)
 
-    def test_caller_failure_stops_the_worker(self, monkeypatch):
-        # `then` fails on the first map while every lattice takes 5 ms. The
-        # worker starts no further piece after that, so a handful of the 40
-        # one-lattice pieces are started (3 to 5 in 40 tries), not all 40.
+    @pytest.mark.parametrize("layout", ["single", "stacked"])
+    def test_caller_failure_stops_the_worker(self, monkeypatch, layout):
+        # `then` fails on the first map while every `_predict` call takes
+        # 5 ms. The worker starts no further piece after that, so a handful
+        # of the 40 pieces are started (3 to 5 in 40 tries with one lattice
+        # a piece), not all 40: fewer than a quarter of the calls.
         rng = np.random.default_rng(50)
         params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
-        lattices = self.lattices(40, rng)
-        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 1)
+        lattices = self.use_layout(monkeypatch, layout, 40 if layout == "single" else 160, rng)
+        calls = len(lattices) if layout == "single" else len(lattices) // 2
         predict = inferrer._predict
         started = []
 
@@ -280,24 +303,25 @@ class TestInferMaps:
 
         monkeypatch.setattr(inferrer, "_predict", slow)
         run_bounded(body)
-        assert len(started) < 10
+        assert len(started) < calls / 4
 
     @pytest.mark.parametrize("switch_interval", [None, 1e-6])
-    def test_every_lattice_is_inferred_exactly_once(self, monkeypatch, switch_interval):
-        # One lattice a piece and a slow worker, so that the caller claims
-        # several pieces ahead of the worker while it waits. A claimed
-        # piece's future is cancelled, and cancelling it again succeeds
-        # again: no piece may run twice.
-        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 1)
+    @pytest.mark.parametrize("layout", ["single", "stacked"])
+    def test_every_lattice_is_inferred_exactly_once(self, monkeypatch, layout, switch_interval):
+        # Small pieces and a slow worker, so that the caller claims several
+        # pieces ahead of the worker while it waits. A claimed piece's
+        # future is cancelled, and cancelling it again succeeds again: no
+        # piece may run twice, and no lattice be inferred twice or skipped
+        # in a stack.
         rng = np.random.default_rng(51)
         params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
-        lattices = self.lattices(40, rng)
+        lattices = self.use_layout(monkeypatch, layout, 40, rng)
         expected = [infer(l, params).tobytes() for l in lattices]
         predict = inferrer._predict
         callers, calls = [], []
 
         def counted(values, c, weights, ws):
-            calls.append(values.shape)
+            calls.extend(v.tobytes() for v in lattices_of(values))
             if threading.current_thread() not in callers:
                 time.sleep(0.001)
             return predict(values, c, weights, ws)
@@ -313,7 +337,7 @@ class TestInferMaps:
             maps = run_bounded(body)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(calls) == sorted(l.values.shape for l in lattices)
+        assert sorted(calls) == sorted(l.values.tobytes() for l in lattices)
         assert [m.tobytes() for m in maps] == expected
 
     @pytest.mark.parametrize("switch_interval", [None, 1e-6])
@@ -385,6 +409,75 @@ class TestInferMaps:
         values = [np.zeros(shape) for shape in [(5, 5)] * 5 + [(20, 20), (3, 3), (1, 1)]]
         assert inferrer._pieces(values) == [range(0, 4), range(4, 6), range(6, 8)]
         assert inferrer._pieces([]) == []
+
+    def test_stacks_are_runs_of_one_shape_within_the_bound(self):
+        assert inferrer._STACK_PIXELS == 4096
+        shapes = [(32, 32)] * 5 + [(24, 40)] + [(32, 32)] * 3 + [(16, 16)] * 17 + [(64, 64)] * 2 + [(65, 70)]
+        values = [np.zeros(shape) for shape in shapes]
+        # Four 32x32 lattices are exactly 4096 pixels, and a fifth would be
+        # over; sixteen 16x16 likewise. A lattice of 4096 pixels or more is
+        # a stack of its own.
+        assert inferrer._stacks(values, range(len(values))) == [
+            range(0, 4), range(4, 5), range(5, 6), range(6, 9), range(9, 25), range(25, 26),
+            range(26, 27), range(27, 28), range(28, 29),
+        ]
+        # Stacks never cross a piece's ends.
+        assert inferrer._stacks(values, range(2, 12)) == [range(2, 5), range(5, 6), range(6, 9), range(9, 12)]
+        assert inferrer._stacks(values, range(3, 3)) == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_maps_equal_infer_bit_for_bit_in_order(self, monkeypatch, dtype):
+        # The default bounds: mixed shapes in one piece, stacks of exactly
+        # 4096 pixels and just over, lattices of 4096 pixels and more, and
+        # shapes whose pixel counts are no multiple of BLAS's row blocks,
+        # whose rounding a single matrix of every stacked row would change.
+        rng = np.random.default_rng(52)
+        wide = random_params(Architecture(context_radius=2, hidden_units=8), rng)
+        params = InferrerParams(w1=wide.w1.astype(dtype), b1=wide.b1.astype(dtype), w2=wide.w2.astype(dtype), b2=wide.b2)
+        shapes = (
+            [(32, 32)] * 5 + [(24, 40)] + [(32, 32)] * 3 + [(16, 16)] * 17 + [(64, 64)] * 2 + [(65, 70)]
+            + [(5, 7)] * 9 + [(1, 1)] * 3 + [(13, 11)] * 4
+        )
+        lattices = [ImageLattice(rng.uniform(0, 1, size=shape)) for shape in shapes]
+        expected = [infer(l, params).tobytes() for l in lattices]
+        predict = inferrer._predict
+        calls = []
+
+        def recorded(values, c, weights, ws):
+            calls.append(values.shape)
+            return predict(values, c, weights, ws)
+
+        monkeypatch.setattr(inferrer, "_predict", recorded)
+        maps = run_bounded(lambda: inferrer.infer_maps(lattices, params))
+        assert [m.tobytes() for m in maps] == expected
+        assert [m.shape for m in maps] == shapes
+        # Each stack was one call; the calls of the two threads may interleave.
+        assert sorted(calls) == sorted(
+            [(4, 32, 32), (32, 32), (24, 40), (3, 32, 32), (16, 16, 16), (16, 16), (64, 64), (64, 64), (65, 70)]
+            + [(9, 5, 7), (3, 1, 1), (4, 13, 11)]
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=6
+        ),
+        radius=st.integers(0, 3),
+        stack_pixels=st.sampled_from([1, 40, 200, 4096]),
+        piece_pixels=st.sampled_from([1, 100, 1 << 15]),
+    )
+    def test_any_stacking_equals_infer_bit_for_bit(self, runs, radius, stack_pixels, piece_pixels):
+        # Runs of (count, height, width), with any stack and piece bound.
+        rng = np.random.default_rng(53)
+        params = random_params(Architecture(context_radius=radius, hidden_units=7), rng)
+        lattices = [rng.uniform(0, 1, size=(h, w)) for count, h, w in runs for _ in range(count)]
+        saved = inferrer._STACK_PIXELS, inferrer._PIECE_PIXELS
+        inferrer._STACK_PIXELS, inferrer._PIECE_PIXELS = stack_pixels, piece_pixels
+        try:
+            maps = run_bounded(lambda: inferrer.infer_maps(lattices, params))
+        finally:
+            inferrer._STACK_PIXELS, inferrer._PIECE_PIXELS = saved
+        assert [m.tobytes() for m in maps] == [infer(l, params).tobytes() for l in lattices]
 
 
 def expression_step(w1, b1, w2, b2, patches, targets):
