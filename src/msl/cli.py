@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import logging
 import math
 import os
@@ -37,7 +38,7 @@ from .errors import ConfigError, MissingArtifactError
 from .inferrer import Architecture, TrainConfig, load_model, save_model
 from .pipeline import Predictor, learn, loop, test
 from .seeds import derive_seed
-from .storage import load_dataset, read_json, read_manifest, reading, save_dataset, write_json
+from .storage import load_dataset, read_json, read_manifest, reading, save_dataset, write_file, write_json
 
 log = logging.getLogger("msl")
 
@@ -87,8 +88,8 @@ def _floats(values) -> list[float]:
 
 
 def _integer(value) -> int:
-    """int() that refuses what it would silently change: 2.7 or true."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int() that refuses what it would silently change: 2.7, true or "3"."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(value)
     return int(value)
 
@@ -212,10 +213,12 @@ def _load_splits(cfg: ExperimentConfig, data: str | None, *parts: str) -> list[D
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """A CSV file in UTF-8, with the csv module's \\r\\n line ends."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_file(path, text.getvalue().encode("utf-8"))
 
 
 def _write_run(run_dir: Path, cfg: ExperimentConfig, results: dict, solutions: dict, started: float) -> None:
@@ -275,10 +278,16 @@ def _read_run(run_dir: Path) -> tuple[ExperimentConfig, Path, list[tuple]]:
             candidates = [{"index": 0, "decoder_params": results["decoder_params"], "error": None,
                            "validation_loss": results["validation_report"]["loss"]}]
         else:
-            solution_dir = run_dir / results["selected"]["dir"]
             candidates, selected_index = results["candidates"], _integer(results["selected_index"])
-            if selected_index not in [c["index"] for c in candidates]:
+            dirs = {c["index"]: c["dir"] for c in candidates}
+            if selected_index not in dirs:
                 raise ValueError(f"selected_index {selected_index} is not the index of a listed candidate")
+            if results["selected"]["dir"] != dirs[selected_index]:
+                raise ValueError(
+                    f"selected dir {results['selected']['dir']!r} is not candidate {selected_index}'s "
+                    f"dir {dirs[selected_index]!r}"
+                )
+            solution_dir = run_dir / dirs[selected_index]
         rows = []
         for c in sorted(candidates, key=lambda c: (c["validation_loss"] is None, c["validation_loss"], c["index"])):
             p = c["decoder_params"]

@@ -1,5 +1,5 @@
 """On-disk formats: the MSL1 binary array container, dataset directories,
-and canonical JSON.
+and canonical JSON, all written through `write_file`.
 
 MSL1 container layout (16-byte header, then payload):
   bytes 0..3   magic b"MSL1"
@@ -7,11 +7,25 @@ MSL1 container layout (16-byte header, then payload):
   bytes 8..11  height (u32, little-endian)
   bytes 12..15 reserved, zero
   payload      width*height float32 values, little-endian, row-major
+
+Every file msl writes goes through `write_file`, which overwrites a file
+in place and never truncates it to zero first. On ext4, a file that is
+truncated to zero and written again is flushed to disk when it is closed
+(the `auto_da_alloc` rule): rewriting a 1000-sample dataset of 32x32
+lattices took 230-240 ms that way and about 60 ms in place, on a shared
+2-core x86-64 machine. msl never calls fsync. That flush had ordered the
+writes on power loss by accident, and this writer gives it up: after a
+power loss, a file may hold old, new or mixed bytes. An interrupted
+process is still caught by the manifest rule: a dataset or run directory
+deletes its manifest.json before its first write and writes it last, as
+a fresh file, so a directory whose writes stopped partway has none and is
+refused.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -22,6 +36,21 @@ from .errors import FormatError
 
 MAGIC = b"MSL1"
 _HEADER = struct.Struct("<4sII4s")
+# No O_TRUNC: see the module docstring. O_BINARY exists on Windows only.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def write_file(path: Path, data: bytes) -> None:
+    """Make the file at `path` hold exactly `data`, creating it with the
+    mode `open` would give, or overwriting it in place."""
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def write_msl1(path: Path, values: np.ndarray) -> None:
@@ -32,7 +61,7 @@ def write_msl1(path: Path, values: np.ndarray) -> None:
     height, width = v.shape
     header = _HEADER.pack(MAGIC, width, height, b"\x00" * 4)
     payload = v.astype("<f4", copy=False).tobytes(order="C")
-    Path(path).write_bytes(header + payload)
+    write_file(path, header + payload)
 
 
 def read_msl1(path: Path) -> np.ndarray:
@@ -52,7 +81,7 @@ def read_msl1(path: Path) -> np.ndarray:
 
 def write_json(path: Path, obj) -> None:
     """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_file(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def read_json(path: Path):

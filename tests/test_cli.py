@@ -356,7 +356,7 @@ class TestTest:
     def test_loop_selected_index_of_no_listed_candidate_is_a_format_error(self, workspace, tmp_path, capsys):
         # The small config lists candidates 0 and 1.
         root, cfg_path, cfg = workspace
-        for case, value in enumerate([None, "abc", -1, 2, [], {}]):
+        for case, value in enumerate([None, "abc", -1, 2, "1", [], {}]):
             run = tmp_path / f"case{case}"
             shutil.copytree(Path(cfg["out_dir"]) / "loop", run)
             (run / "test_report.json").unlink(missing_ok=True)
@@ -372,6 +372,26 @@ class TestTest:
                 assert f"FormatError: {run / 'results.json'}: " in captured.err
                 assert captured.out == ""
             assert not (run / "test_report.json").exists() and not (run / "report.csv").exists()
+
+    def test_loop_selected_dir_of_another_candidate_is_a_format_error(self, workspace, tmp_path, capsys):
+        # test would score one candidate and report would star another.
+        root, cfg_path, cfg = workspace
+        run = tmp_path / "run"
+        shutil.copytree(Path(cfg["out_dir"]) / "loop", run)
+        (run / "test_report.json").unlink(missing_ok=True)
+        (run / "report.csv").unlink(missing_ok=True)
+        results = json.loads((run / "results.json").read_text())
+        (other,) = [c["dir"] for c in results["candidates"] if c["index"] != results["selected_index"]]
+        results["selected"]["dir"] = other
+        (run / "results.json").write_text(json.dumps(results))
+        capsys.readouterr()
+        for command in ("report", "test"):
+            assert main([command, "--run", str(run)]) == 1, command
+            captured = capsys.readouterr()
+            assert f"FormatError: {run / 'results.json'}: " in captured.err
+            assert f"selected dir {other!r} is not candidate {results['selected_index']}'s dir" in captured.err
+            assert captured.out == ""
+        assert not (run / "test_report.json").exists() and not (run / "report.csv").exists()
 
     def test_manifest_size_or_seed_that_is_no_integer_is_a_format_error(self, workspace, tmp_path, capsys):
         # Named before any sample is read: the copy holds no sample file.
@@ -547,6 +567,17 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config error" in err and field in err
         assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("field", ["seed", "synth.n", "inferrer.epochs"])
+    def test_string_integer_names_field(self, tmp_path, capsys, monkeypatch, field):
+        # int() would read "3" as 3, where a float field refuses "2".
+        monkeypatch.chdir(tmp_path)
+        cfg = small_config_dict(str(tmp_path / "exp"))
+        *section, key = field.split(".")
+        (cfg[section[0]] if section else cfg)[key] = "3"
+        assert main(["gen", "--config", str(write_config(tmp_path / "config.json", cfg))]) == 2
+        assert capsys.readouterr().err == f"config error: field '{field}' has an invalid value '3'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("path", _required_paths())
     @pytest.mark.parametrize("fault", ["deleted", "null"])

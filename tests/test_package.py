@@ -54,3 +54,19 @@ def test_numpy_is_the_only_import_outside_the_standard_library():
                 continue
             outside |= {f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed}
     assert outside == set()
+
+
+def test_storage_is_the_only_module_that_opens_or_writes_files():
+    # storage.write_file overwrites in place; any other writer would truncate.
+    calls = set()
+    for path in sorted((SRC / "msl").glob("*.py")):
+        if path.name == "storage.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name in ("open", "write_text", "write_bytes"):
+                calls.add(f"{path.name}:{node.lineno}: {name}(")
+    assert calls == set()

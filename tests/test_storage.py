@@ -1,13 +1,16 @@
+import csv
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from msl.cli import _write_csv
 from msl.data import generate_dataset, SynthConfig
 from msl.errors import FormatError
 from msl import storage
-from msl.storage import load_dataset, read_manifest, read_msl1, save_dataset, write_msl1
+from msl.storage import load_dataset, read_manifest, read_msl1, save_dataset, write_file, write_json, write_msl1
 
 
 def test_header_layout(tmp_path):
@@ -175,3 +178,62 @@ def test_save_stopped_partway_leaves_no_manifest(tmp_path, monkeypatch):
         _small_dataset(tmp_path, n=4)
     with pytest.raises(FileNotFoundError):
         read_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_file_gets_the_mode_write_bytes_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        write_file(tmp_path / "new", b"abc")
+        (tmp_path / "reference").write_bytes(b"abc")
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "new").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+@pytest.mark.parametrize("old", [b"x" * 100, b"x", b""], ids=["longer", "shorter", "empty"])
+def test_overwrite_leaves_exactly_the_new_bytes_in_the_same_inode(tmp_path, old):
+    path = tmp_path / "file"
+    path.write_bytes(old)
+    inode = path.stat().st_ino
+    write_file(path, b"new bytes")
+    assert path.read_bytes() == b"new bytes"
+    assert path.stat().st_ino == inode
+
+
+def test_no_write_truncates_a_file_to_zero(tmp_path, monkeypatch):
+    # On ext4 a file truncated to zero and written again is flushed on close.
+    _small_dataset(tmp_path / "dataset")
+    real, flags = os.open, []
+
+    def recording(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    _small_dataset(tmp_path / "dataset")
+    write_json(tmp_path / "obj.json", {"b": 1})
+    _write_csv(tmp_path / "table.csv", ["a"], [[1]])
+    assert len(flags) == 7  # two lattices, two points files, the manifest, the JSON and the CSV
+    assert all(flag & os.O_CREAT and not flag & os.O_TRUNC for flag in flags)
+
+
+def test_writers_give_the_bytes_of_the_old_writers(tmp_path):
+    obj = {"b": [1.5, None], "a": {"y": "é", "x": 2}}
+    write_json(tmp_path / "new.json", obj)
+    assert (tmp_path / "new.json").read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    assert (tmp_path / "new.json").read_bytes().endswith(b"}\n")
+
+    values = np.arange(6, dtype=np.float64).reshape(2, 3) / 7.0
+    write_msl1(tmp_path / "new.msl1", values)
+    header = struct.pack("<4sII4s", b"MSL1", 3, 2, b"\x00" * 4)
+    assert (tmp_path / "new.msl1").read_bytes() == header + values.astype("<f4").tobytes()
+
+    header_row, rows = ["threshold", "mean_loss"], [[0.5, repr(0.25)], [1, "a,b"]]
+    _write_csv(tmp_path / "new.csv", header_row, rows)
+    with open(tmp_path / "old.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header_row)
+        writer.writerows(rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == b'threshold,mean_loss\r\n0.5,0.25\r\n1,"a,b"\r\n'
