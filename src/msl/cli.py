@@ -11,7 +11,9 @@ A run directory, of `learn` or `loop`, holds the files of each solution
 candidate that finished), results.json of kind "learn" or "loop", and
 manifest.json, written last: `test` and `report` refuse a run without it.
 A rerun touches the directory only after its pipeline has returned, so a
-rerun that fails or is refused leaves the earlier run whole.
+rerun that fails or is refused leaves the earlier run whole. A loop run
+stores its selection once, as results.json's selected_index: `test`
+scores the solution in that candidate's dir.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import argparse
 import csv
 import io
 import logging
-import math
 import os
 import platform
 import sys
@@ -38,7 +39,10 @@ from .errors import ConfigError, MissingArtifactError
 from .inferrer import Architecture, TrainConfig, load_model, save_model
 from .pipeline import Predictor, learn, loop, test
 from .seeds import derive_seed
-from .storage import load_dataset, read_json, read_manifest, reading, save_dataset, write_file, write_json
+from .storage import (
+    fields, finite, floats, integer, load_dataset, optional, read_json, read_manifest, reading, require, save_dataset,
+    section, string, write_file, write_json,
+)
 
 log = logging.getLogger("msl")
 
@@ -72,82 +76,35 @@ class ExperimentConfig:
         return derive_seed(self.master_seed, _SPLIT_STREAM)
 
 
-def _finite(value) -> float:
-    """float() that refuses what it would silently change: true or "2",
-    NaN and the infinities."""
-    if isinstance(value, (bool, str)):
-        raise ValueError(value)
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(value)
-    return number
-
-
-def _floats(values) -> list[float]:
-    return [_finite(v) for v in values]
-
-
-def _integer(value) -> int:
-    """int() that refuses what it would silently change: 2.7, true or "3"."""
-    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(value)
-    return int(value)
-
-
-def _string(value) -> str:
-    """The value, if it is a string: str() would turn null into the directory "None"."""
-    if not isinstance(value, str):
-        raise TypeError(value)
-    return value
-
-
-def _require(section: dict, key: str, where: str, kind):
-    """section[key] converted by `kind`; a missing or unconvertible value is
-    a ConfigError naming the field."""
-    if not isinstance(section, dict) or key not in section:
-        raise ConfigError(f"missing required field '{where}{key}'")
-    try:
-        return kind(section[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"field '{where}{key}' has an invalid value {section[key]!r}")
-
-
-def _section(raw: dict, name: str, **kinds) -> dict:
-    """The fields of section raw[name] that `kinds` names, in that order, each
-    converted by its kind; a missing or invalid one is a ConfigError naming its path."""
-    section = _require(raw, name, "", dict)
-    return {key: _require(section, key, f"{name}.", kind) for key, kind in kinds.items()}
-
-
 # The synth fields that make a SynthConfig, with the seed derived from the master seed.
 _SYNTH_FIELDS = dict(
-    width=_integer, height=_integer, blob_count_min=_integer, blob_count_max=_integer,
-    blob_amplitude=_finite, blob_radius=_finite, min_separation=_finite, noise_std=_finite,
+    width=integer, height=integer, blob_count_min=integer, blob_count_max=integer,
+    blob_amplitude=finite, blob_radius=finite, min_separation=finite, noise_std=finite,
 )
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    master_seed = _require(raw, "seed", "", _integer)
-    out_dir = _require(raw, "out_dir", "", _string)
-    synth = SynthConfig(**_section(raw, "synth", **_SYNTH_FIELDS), seed=derive_seed(master_seed, _SYNTH_STREAM))
-    n, fractions = _section(raw, "synth", n=_integer, fractions=_floats).values()
+    master_seed = require(raw, "seed", integer)
+    out_dir = require(raw, "out_dir", string)
+    synth = SynthConfig(**section(raw, "synth", **_SYNTH_FIELDS), seed=derive_seed(master_seed, _SYNTH_STREAM))
+    n, fractions = section(raw, "synth", n=integer, fractions=floats).values()
     if len(fractions) != 3:
         raise ConfigError("'synth.fractions' must be [train, val, test]")
     split_sizes(n, fractions)
 
-    include_careless = _require(raw, "decoder", "", dict).get("include_careless", False)
+    include_careless = require(raw, "decoder", dict).get("include_careless", False)
     if not isinstance(include_careless, bool):
         raise ConfigError(f"field 'decoder.include_careless' must be true or false, got {include_careless!r}")
     decoder_space = decoder_grid(
-        **_section(raw, "decoder", sigmas=_floats, radius_multiplier=_finite), include_careless=include_careless
+        **section(raw, "decoder", sigmas=floats, radius_multiplier=finite), include_careless=include_careless
     )
-    arch = Architecture(**_section(raw, "inferrer", context_radius=_integer, hidden_units=_integer))
+    arch = Architecture(**section(raw, "inferrer", context_radius=integer, hidden_units=integer))
     train_cfg = TrainConfig(
-        **_section(raw, "inferrer", epochs=_integer, learning_rate=_finite, batch_pixels=_integer),
+        **section(raw, "inferrer", epochs=integer, learning_rate=finite, batch_pixels=integer),
         seed=derive_seed(master_seed, _TRAIN_STREAM),
     )
-    encoder_space = encoder_grid(*_section(raw, "encoder", thresholds=_floats, min_separations=_floats).values())
-    match_tolerance = _section(raw, "metrics", match_tolerance=_finite)["match_tolerance"]
+    encoder_space = encoder_grid(*section(raw, "encoder", thresholds=floats, min_separations=floats).values())
+    match_tolerance = section(raw, "metrics", match_tolerance=finite)["match_tolerance"]
     if match_tolerance <= 0.0:
         raise ConfigError("'metrics.match_tolerance' must be positive")
 
@@ -196,7 +153,7 @@ def _load_splits(cfg: ExperimentConfig, data: str | None, *parts: str) -> list[D
                 f"dataset {data_dir} has {key} {manifest[key]!r}, but the config gives synth {key} {expected!r}"
             )
     with reading(data_dir / "manifest.json"):
-        made = SynthConfig(**_section(manifest["config"], "synth", **_SYNTH_FIELDS), seed=cfg.synth.seed)
+        made = SynthConfig(**section(require(manifest, "config", dict), "synth", **_SYNTH_FIELDS), seed=cfg.synth.seed)
     for key in _SYNTH_FIELDS:
         if getattr(made, key) != getattr(cfg.synth, key):
             raise ConfigError(
@@ -264,39 +221,36 @@ def _write_run(run_dir: Path, cfg: ExperimentConfig, results: dict, solutions: d
 
 def _read_run(run_dir: Path) -> tuple[ExperimentConfig, Path, list[tuple]]:
     """A finished run's stored config, its selected solution's directory and
-    its candidate rows (selected, variant, sigma, radius, validation_loss,
-    error), lowest validation loss first; a learn run is one candidate. A
-    run is finished once its manifest.json, written last, exists."""
+    its candidate rows (selected, decoder params, validation_loss, error),
+    lowest validation loss first; a learn run is one candidate. A run is
+    finished once its manifest.json, written last, exists."""
     for name in ("results.json", "manifest.json"):
         if not (run_dir / name).exists():
             raise MissingArtifactError(f"run directory has no {name}: {run_dir}")
+    # Every field is read here, within `reading`, so that `report` cannot fail on one after printing.
     with reading(run_dir / "results.json"):
         results = read_json(run_dir / "results.json")
-        cfg = parse_config(results["config"])
-        if results["kind"] == "learn":
-            solution_dir, selected_index = run_dir, 0
-            candidates = [{"index": 0, "decoder_params": results["decoder_params"], "error": None,
-                           "validation_loss": results["validation_report"]["loss"]}]
+        kind = require(results, "kind", string)
+        if kind not in ("learn", "loop"):
+            raise ValueError(f"kind {kind!r} is neither 'learn' nor 'loop'")
+        cfg = parse_config(require(results, "config", dict))
+        if kind == "learn":
+            p = require(results, "decoder_params", DecoderParams.from_json_dict)
+            loss = section(results, "validation_report", loss=finite)["loss"]
+            selected_index, candidates = 0, [dict(index=0, dir="", decoder_params=p, validation_loss=loss, error=None)]
         else:
-            candidates, selected_index = results["candidates"], _integer(results["selected_index"])
-            dirs = {c["index"]: c["dir"] for c in candidates}
-            if selected_index not in dirs:
-                raise ValueError(f"selected_index {selected_index} is not the index of a listed candidate")
-            if results["selected"]["dir"] != dirs[selected_index]:
-                raise ValueError(
-                    f"selected dir {results['selected']['dir']!r} is not candidate {selected_index}'s "
-                    f"dir {dirs[selected_index]!r}"
-                )
-            solution_dir = run_dir / dirs[selected_index]
-        rows = []
-        for c in sorted(candidates, key=lambda c: (c["validation_loss"] is None, c["validation_loss"], c["index"])):
-            p = c["decoder_params"]
-            if not isinstance(p, dict):
-                raise TypeError(f"decoder_params {p!r} is not an object")
-            # Checked within `reading`, so that `report` cannot fail on them after printing.
-            numbers = [None if v is None else _finite(v) for v in (p.get("sigma"), p.get("radius"), c["validation_loss"])]
-            rows.append((c["index"] == selected_index, p["variant"], *numbers, c["error"]))
-    return cfg, solution_dir, rows
+            selected_index = require(results, "selected_index", integer)
+            candidates = [
+                fields(c, f"candidates[{i}].", index=integer, dir=optional(string), validation_loss=optional(finite),
+                       error=optional(string), decoder_params=DecoderParams.from_json_dict)
+                for i, c in enumerate(require(results, "candidates", list))
+            ]
+        dirs = {c["index"]: c["dir"] for c in candidates}
+        if dirs.get(selected_index) is None:
+            raise ValueError(f"selected_index {selected_index} is not the index of a listed candidate with a dir")
+    candidates.sort(key=lambda c: (c["validation_loss"] is None, c["validation_loss"], c["index"]))
+    rows = [(c["index"] == selected_index, c["decoder_params"], c["validation_loss"], c["error"]) for c in candidates]
+    return cfg, run_dir / dirs[selected_index], rows
 
 
 def cmd_gen(args) -> int:
@@ -330,7 +284,6 @@ def cmd_learn(args) -> int:
         "encoder_params": solution.encoder_params.to_json_dict(),
         "validation_report": solution.validation_report.to_json_dict(),
         "epoch_losses": [float(x) for x in solution.epoch_losses],
-        "artifacts": {name: name for name in _SOLUTION_FILES},
     }
     _write_run(run_dir, cfg, results, {"": solution}, started)
     print(f"learn: validation f1 {solution.validation_report.f1:.4f} -> {run_dir}")
@@ -363,18 +316,9 @@ def cmd_loop(args) -> int:
             solutions[row["dir"]] = entry.solution
         candidates.append(row)
 
-    selected = result.entries[result.selected_index]
-    results = {
-        "kind": "loop",
-        "candidates": candidates,
-        "selected_index": result.selected_index,
-        "selected": {
-            "decoder_params": selected.decoder_params.to_json_dict(),
-            "validation_loss": selected.validation_loss,
-            "dir": f"candidate_{result.selected_index:02d}",
-        },
-    }
+    results = {"kind": "loop", "candidates": candidates, "selected_index": result.selected_index}
     _write_run(run_dir, cfg, results, solutions, started)
+    selected = result.entries[result.selected_index]
     print(
         f"loop: selected candidate {result.selected_index} "
         f"{selected.decoder_params.to_json_dict()} "
@@ -405,7 +349,8 @@ def cmd_report(args) -> int:
     rows = _read_run(run_dir)[2]
     print(f"{'sel':>3} {'variant':>9} {'sigma':>6} {'radius':>6} {'val_loss':>10}")
     records = []
-    for selected, variant, sigma, radius, loss, error in rows:
+    for selected, params, loss, error in rows:
+        variant, sigma, radius = params.variant.value, params.sigma, params.radius
         print(
             f"{'*' if selected else '':>3} "
             f"{variant:>9} "

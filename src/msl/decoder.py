@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import CandidateSpace, PointSet, UnitGrid, stamp_gaussians
 from .errors import ConfigError, VariantMismatchError
+from .storage import fields, finite, require
 
 
 class DecoderVariant(str, Enum):
@@ -57,6 +58,13 @@ class DecoderParams:
         if self.variant is DecoderVariant.CARELESS:
             return {"variant": "careless"}
         return {"variant": "careful", "sigma": self.sigma, "radius": self.radius}
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "DecoderParams":
+        """The params `to_json_dict` gave; a missing or bad field is a ConfigError."""
+        if require(obj, "variant", DecoderVariant) is DecoderVariant.CARELESS:
+            return cls(DecoderVariant.CARELESS, obj.get("sigma"), obj.get("radius"))
+        return cls.careful(**fields(obj, sigma=finite, radius=finite))
 
 
 class TargetMap(UnitGrid):

@@ -29,6 +29,7 @@ import numpy as np
 from .data import CandidateSpace, PointSet, grid_values
 from .errors import ConfigError, ShapeError
 from .metrics import DetectionReport, count_loss, eligible_pairs, greedy_pairs
+from .storage import fields, finite
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class EncoderParams:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "EncoderParams":
-        return cls(threshold=float(obj["threshold"]), min_separation=float(obj["min_separation"]))
+        return cls(**fields(obj, threshold=finite, min_separation=finite))
 
 
 class EncoderSpace(CandidateSpace):

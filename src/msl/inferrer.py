@@ -57,7 +57,7 @@ from .data import ImageLattice, grid_values
 from .decoder import TargetMap
 from .errors import ConfigError, DivergenceError, FormatError, ShapeError
 from .seeds import derive_seed, make_rng
-from .storage import read_json, read_msl1, reading, write_json, write_msl1
+from .storage import finite, integer, read_json, read_msl1, reading, section, write_json, write_msl1
 
 # Bytes of minibatch gathers that `train` keeps in flight ahead of its
 # step, each one job of `_in_order`. At most twice as many minibatches,
@@ -502,17 +502,10 @@ def load_model(directory: Path) -> tuple[Architecture, TrainConfig, InferrerPara
     meta_path, dump_path = directory / "model.json", directory / "model.msl1"
     with reading(meta_path):
         meta = read_json(meta_path)
-        arch = Architecture(
-            context_radius=int(meta["architecture"]["context_radius"]),
-            hidden_units=int(meta["architecture"]["hidden_units"]),
-        )
-        tc = meta["train_config"]
-        cfg = TrainConfig(
-            epochs=int(tc["epochs"]),
-            learning_rate=float(tc["learning_rate"]),
-            batch_pixels=int(tc["batch_pixels"]),
-            seed=int(tc["seed"]),
-        )
+        arch = Architecture(**section(meta, "architecture", context_radius=integer, hidden_units=integer))
+        cfg = TrainConfig(**section(
+            meta, "train_config", epochs=integer, learning_rate=finite, batch_pixels=integer, seed=integer
+        ))
     flat = read_msl1(dump_path).ravel().astype(np.float32)
     expected = arch.hidden_units * arch.input_dim + 2 * arch.hidden_units + 1
     if flat.shape[0] != expected:

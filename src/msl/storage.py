@@ -20,11 +20,19 @@ process is still caught by the manifest rule: a dataset or run directory
 deletes its manifest.json before its first write and writes it last, as
 a fresh file, so a directory whose writes stopped partway has none and is
 refused.
+
+Every JSON field msl reads, of a config or of an artifact, goes through
+one field reader, `require` (with `fields` and `section` built on it): it
+converts the field by a kind such as `integer`, and a missing or bad field
+is a ConfigError naming it, which an artifact reader's `reading(path)`
+block makes a FormatError naming the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -32,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, ImageLattice, PointSet, Sample
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 MAGIC = b"MSL1"
 _HEADER = struct.Struct("<4sII4s")
@@ -88,24 +96,70 @@ def read_json(path: Path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-class reading:
-    """Within the block, a missing key or a bad value is a FormatError
-    naming `path`, the file the block reads. Call `read_msl1` outside it:
-    its FormatError names the file already."""
-
-    def __init__(self, path: Path):
-        self.path = path
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, exc, traceback):
-        if isinstance(exc, (KeyError, TypeError, ValueError)):
-            raise FormatError(f"{self.path}: {exc!r}") from exc
+def finite(value) -> float:
+    """float() that refuses what it would silently change: true or "2",
+    NaN and the infinities."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
 
 
-def _sample_names(index: int) -> tuple[str, str]:
-    return f"sample_{index:05d}.msl1", f"sample_{index:05d}.points.json"
+def floats(values) -> list[float]:
+    return [finite(v) for v in values]
+
+
+def integer(value) -> int:
+    """The value, if it is a JSON integer: int() would take 2.7, 3.0, true or "3"."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
+def string(value) -> str:
+    """The value, if it is a string: str() would turn null into the directory "None"."""
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def optional(kind):
+    """The kind that reads null as None and any other value as `kind` does."""
+    return lambda value: None if value is None else kind(value)
+
+
+def require(obj, key: str, kind, where: str = ""):
+    """obj[key] converted by `kind`; a missing or unconvertible value is a
+    ConfigError naming the field `where + key`."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ConfigError(f"missing required field '{where}{key}'")
+    try:
+        return kind(obj[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"field '{where}{key}' has an invalid value {obj[key]!r}")
+
+
+def fields(obj, where: str = "", **kinds) -> dict:
+    """The fields of obj that `kinds` names, in that order, each read by `require`."""
+    return {key: require(obj, key, kind, where) for key, kind in kinds.items()}
+
+
+def section(raw, name: str, **kinds) -> dict:
+    """The fields of the object raw[name] that `kinds` names, each named by its path."""
+    return fields(require(raw, name, dict), f"{name}.", **kinds)
+
+
+@contextlib.contextmanager
+def reading(path: Path):
+    """Within the block, a bad value, a missing or bad field among them, is
+    a FormatError naming `path`, the file the block reads. Call `read_msl1`
+    outside it: its FormatError names the file already."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc!r}") from exc
 
 
 def save_dataset(ds: Dataset, directory: Path, seed: int, config_echo: dict) -> Path:
@@ -121,7 +175,7 @@ def save_dataset(ds: Dataset, directory: Path, seed: int, config_echo: dict) -> 
     width, height = ds.samples[0].lattice.shape
     entries = []
     for i, sample in enumerate(ds.samples):
-        lattice_name, points_name = _sample_names(i)
+        lattice_name, points_name = f"sample_{i:05d}.msl1", f"sample_{i:05d}.points.json"
         write_msl1(directory / lattice_name, sample.lattice.values)
         pairs = [[float(x), float(y)] for x, y in sample.truth.points]
         write_json(directory / points_name, pairs)
@@ -139,7 +193,7 @@ def save_dataset(ds: Dataset, directory: Path, seed: int, config_echo: dict) -> 
 
 
 def read_manifest(directory: Path) -> dict:
-    """A dataset directory's manifest.json. A missing key, a width, height
+    """A dataset directory's manifest.json. A missing field, a width, height
     or n that is not a positive integer, a seed that is not a non-negative
     integer, or a samples list whose length is not n, is a FormatError
     naming the file."""
@@ -147,10 +201,9 @@ def read_manifest(directory: Path) -> dict:
     with reading(manifest_path):
         manifest = read_json(manifest_path)
         for key, least in (("width", 1), ("height", 1), ("n", 1), ("seed", 0)):
-            value = manifest[key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"{key} is {value!r}, not an integer >= {least}")
-        n, count = manifest["n"], len(manifest["samples"])
+            if require(manifest, key, integer) < least:
+                raise ValueError(f"{key} is {manifest[key]!r}, not an integer >= {least}")
+        n, count = manifest["n"], len(require(manifest, "samples", list))
         if count != n:
             raise ValueError(f"manifest lists n={n} but {count} samples")
     return manifest
@@ -158,17 +211,16 @@ def read_manifest(directory: Path) -> dict:
 
 def load_dataset(directory: Path, indices=None) -> tuple[Dataset, dict]:
     """Read a dataset directory, or only the samples at `indices`, in that
-    order; returns (dataset, manifest). A missing key or a bad value is a
+    order; returns (dataset, manifest). A missing field or a bad value is a
     FormatError naming the file it was read from, and so is a lattice of
     another shape than the manifest's."""
     directory = Path(directory)
     manifest = read_manifest(directory)
-    entries = manifest["samples"]
+    shape = (manifest["height"], manifest["width"])
     with reading(directory / "manifest.json"):
-        shape = (manifest["height"], manifest["width"])
         names = [
-            (entries[i]["lattice"], entries[i]["points"])
-            for i in (range(len(entries)) if indices is None else indices)
+            fields(manifest["samples"][i], f"samples[{i}].", lattice=string, points=string).values()
+            for i in (range(manifest["n"]) if indices is None else indices)
         ]
     samples = []
     for lattice_name, points_name in names:
@@ -181,7 +233,7 @@ def load_dataset(directory: Path, indices=None) -> tuple[Dataset, dict]:
         with reading(directory / lattice_name):
             lattice = ImageLattice(values)
         with reading(directory / points_name):
-            pairs = read_json(directory / points_name)
+            pairs = [floats(pair) for pair in read_json(directory / points_name)]
             points = PointSet(np.asarray(pairs, dtype=np.float64).reshape(len(pairs), 2))
             samples.append(Sample(lattice=lattice, truth=points))
     return Dataset(tuple(samples)), manifest

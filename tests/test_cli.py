@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import shutil
 from pathlib import Path
@@ -150,6 +152,29 @@ class TestLoop:
             err = capsys.readouterr().err
             assert "config error" in err and "--workers" in err
             assert not out.exists()
+
+
+def _loop_results_edit_is_refused(workspace, run: Path, capsys, edit) -> str:
+    """Copy the loop run to `run` and apply `edit` to its results.json:
+    `report` and `test` must exit 1 with a FormatError naming results.json,
+    printing and writing nothing. Returns the last error output."""
+    root, cfg_path, cfg = workspace
+    shutil.copytree(Path(cfg["out_dir"]) / "loop", run)
+    (run / "test_report.json").unlink(missing_ok=True)
+    (run / "report.csv").unlink(missing_ok=True)
+    results = json.loads((run / "results.json").read_text())
+    # The small config lists candidates 0 and 1.
+    assert [c["index"] for c in results["candidates"]] == [0, 1]
+    edit(results)
+    (run / "results.json").write_text(json.dumps(results))
+    capsys.readouterr()
+    for command in ("report", "test"):
+        assert main([command, "--run", str(run)]) == 1, command
+        captured = capsys.readouterr()
+        assert f"FormatError: {run / 'results.json'}: " in captured.err
+        assert captured.out == ""
+    assert not (run / "test_report.json").exists() and not (run / "report.csv").exists()
+    return captured.err
 
 
 class TestTest:
@@ -319,6 +344,11 @@ class TestTest:
             ("model.msl1", non_finite, ["test"]),
             ("encoder_params.json", edited(lambda o: o.update(threshold=1.5)), ["test"]),
             ("encoder_params.json", edited(lambda o: o.pop("threshold")), ["test"]),
+            # float() and int() would read these as 0.3, 1.0, 8, 3 and 1.0.
+            ("encoder_params.json", edited(lambda o: o.update(threshold="0.3")), ["test"]),
+            ("encoder_params.json", edited(lambda o: o.update(min_separation=True)), ["test"]),
+            ("model.json", edited(lambda o: o["architecture"].update(hidden_units=8.7)), ["test"]),
+            ("model.json", edited(lambda o: o["train_config"].update(epochs="3", learning_rate=True)), ["test"]),
             ("results.json", truncated, ["test", "report"]),
             ("results.json", edited(lambda o: o.pop("kind")), ["test", "report"]),
             ("results.json", edited(lambda o: o["decoder_params"].pop("variant")), ["report"]),
@@ -354,44 +384,18 @@ class TestTest:
             assert not (run / "test_report.json").exists() and not (run / "report.csv").exists()
 
     def test_loop_selected_index_of_no_listed_candidate_is_a_format_error(self, workspace, tmp_path, capsys):
-        # The small config lists candidates 0 and 1.
-        root, cfg_path, cfg = workspace
         for case, value in enumerate([None, "abc", -1, 2, "1", [], {}]):
-            run = tmp_path / f"case{case}"
-            shutil.copytree(Path(cfg["out_dir"]) / "loop", run)
-            (run / "test_report.json").unlink(missing_ok=True)
-            (run / "report.csv").unlink(missing_ok=True)
-            results = json.loads((run / "results.json").read_text())
-            assert [c["index"] for c in results["candidates"]] == [0, 1]
-            results["selected_index"] = value
-            (run / "results.json").write_text(json.dumps(results))
-            capsys.readouterr()
-            for command in ("report", "test"):
-                assert main([command, "--run", str(run)]) == 1, (command, value)
-                captured = capsys.readouterr()
-                assert f"FormatError: {run / 'results.json'}: " in captured.err
-                assert captured.out == ""
-            assert not (run / "test_report.json").exists() and not (run / "report.csv").exists()
+            edit = lambda results: results.update(selected_index=value)
+            _loop_results_edit_is_refused(workspace, tmp_path / f"case{case}", capsys, edit)
 
-    def test_loop_selected_dir_of_another_candidate_is_a_format_error(self, workspace, tmp_path, capsys):
-        # test would score one candidate and report would star another.
-        root, cfg_path, cfg = workspace
-        run = tmp_path / "run"
-        shutil.copytree(Path(cfg["out_dir"]) / "loop", run)
-        (run / "test_report.json").unlink(missing_ok=True)
-        (run / "report.csv").unlink(missing_ok=True)
-        results = json.loads((run / "results.json").read_text())
-        (other,) = [c["dir"] for c in results["candidates"] if c["index"] != results["selected_index"]]
-        results["selected"]["dir"] = other
-        (run / "results.json").write_text(json.dumps(results))
-        capsys.readouterr()
-        for command in ("report", "test"):
-            assert main([command, "--run", str(run)]) == 1, command
-            captured = capsys.readouterr()
-            assert f"FormatError: {run / 'results.json'}: " in captured.err
-            assert f"selected dir {other!r} is not candidate {results['selected_index']}'s dir" in captured.err
-            assert captured.out == ""
-        assert not (run / "test_report.json").exists() and not (run / "report.csv").exists()
+    @pytest.mark.parametrize("key, value", [
+        ("error", 5), ("decoder_params", {"variant": 7}), ("decoder_params", {"variant": "careless", "sigma": 1.5}),
+        ("validation_loss", "0.5"), ("index", "0"), ("dir", 3),
+    ], ids=repr)
+    def test_loop_candidate_field_of_another_type_is_a_format_error(self, workspace, tmp_path, capsys, key, value):
+        # Each field is converted before the rows are sorted, and none is printed unchecked.
+        edit = lambda results: results["candidates"][0].update({key: value})
+        assert f"candidates[0].{key}" in _loop_results_edit_is_refused(workspace, tmp_path / "run", capsys, edit)
 
     def test_manifest_size_or_seed_that_is_no_integer_is_a_format_error(self, workspace, tmp_path, capsys):
         # Named before any sample is read: the copy holds no sample file.
@@ -485,6 +489,26 @@ class TestReport:
         results = json.loads((run / "results.json").read_text())
         assert len(rows) - 1 == len(results["candidates"])
 
+    def test_failed_candidates_are_listed_last_in_index_order(self, workspace, tmp_path, capsys):
+        # A failed candidate, of null loss, is listed after every finished one.
+        root, cfg_path, cfg = workspace
+        run = tmp_path / "run"
+        shutil.copytree(Path(cfg["out_dir"]) / "loop", run)
+        results = json.loads((run / "results.json").read_text())
+        assert results["selected_index"] == 1
+        failed = dict(results["candidates"][0], validation_loss=None, error="diverged", dir=None)
+        results["candidates"] = [failed, results["candidates"][1], dict(failed, index=2)]
+        (run / "results.json").write_text(json.dumps(results))
+        capsys.readouterr()
+        assert main(["report", "--run", str(run)]) == 0
+        with (run / "report.csv").open() as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["selected"], r["validation_loss"], r["error"]) for r in rows] == [
+            ("1", repr(results["candidates"][1]["validation_loss"]), ""),
+            ("0", "", "diverged"),
+            ("0", "", "diverged"),
+        ]
+
     def test_learn_report_single_row(self, workspace, tmp_path, capsys):
         root, cfg_path, cfg = workspace
         out = tmp_path / "single"
@@ -493,6 +517,87 @@ class TestReport:
         with (out / "report.csv").open() as f:
             rows = list(csv.reader(f))
         assert len(rows) == 2  # header + one row
+
+
+def _read_all(case: Path, data: Path) -> dict:
+    """What each reader gives on the run at case/run, run from `case`: the
+    exit code, stdout, stderr and written file's bytes of `msl test` (on
+    dataset `data`) and `msl report`, and the fields that read_manifest
+    checks of `data`, or the FormatError it raised."""
+    outcomes = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(case)
+        for argv, path in (
+            (["test", "--run", "run", "--data", str(data)], Path("run/test_report.json")),
+            (["report", "--run", "run"], Path("run/report.csv")),
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            written = path.read_bytes() if path.exists() else None
+            outcomes[argv[0]] = (code, out.getvalue(), err.getvalue(), written)
+        try:
+            manifest = storage.read_manifest(data)
+            outcomes["read_manifest"] = [manifest[key] for key in ("width", "height", "n", "seed", "samples")]
+        except FormatError as exc:
+            outcomes["read_manifest"] = exc
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def sweep(workspace, tmp_path_factory):
+    """The finished runs and dataset a corruption sweep copies, and what
+    `_read_all` gives on each run untouched."""
+    root, cfg_path, cfg = workspace
+    base = tmp_path_factory.mktemp("sweep")
+    assert main(["learn", "--config", str(cfg_path), "--out", str(base / "learn")]) == 0
+    outputs = shutil.ignore_patterns("test_report.json", "report.csv")
+    shutil.copytree(Path(cfg["out_dir"]) / "loop", base / "loop", ignore=outputs)
+    sources = {"learn": base / "learn", "loop": base / "loop", "dataset": Path(cfg["out_dir"]) / "dataset"}
+    baseline = {}
+    for kind in ("learn", "loop"):
+        shutil.copytree(sources[kind], base / kind / "untouched" / "run")
+        baseline[kind] = _read_all(base / kind / "untouched", sources["dataset"])
+    return sources, baseline
+
+
+class TestCorruptionSweep:
+    """Each top-level field of each JSON artifact that `test` and `report`
+    read, deleted or set to another JSON type, is refused with a
+    FormatError naming the file, or changes nothing."""
+
+    @pytest.mark.parametrize("fault", ["deleted", None, "abc", [], {}, -1], ids=repr)
+    @pytest.mark.parametrize("source, name", [
+        ("learn", "results.json"), ("loop", "results.json"), ("learn", "model.json"),
+        ("learn", "encoder_params.json"), ("dataset", "manifest.json"),
+    ])
+    def test_field_fault_is_refused_or_changes_nothing(self, sweep, tmp_path, source, name, fault):
+        sources, baseline = sweep
+        kind = "learn" if source == "dataset" else source
+        keys = json.loads((sources[source] / name).read_text())
+        for key in keys:
+            case = tmp_path / key
+            shutil.copytree(sources[kind], case / "run")
+            data = sources["dataset"]
+            if source == "dataset":
+                data = Path("data")
+                shutil.copytree(sources["dataset"], case / data)
+            corrupted = (data if source == "dataset" else Path("run")) / name
+            obj = json.loads((case / corrupted).read_text())
+            if fault == "deleted":
+                del obj[key]
+            else:
+                obj[key] = fault
+            (case / corrupted).write_text(json.dumps(obj))
+            for reader, outcome in _read_all(case, data).items():
+                if outcome == baseline[kind][reader]:
+                    continue
+                if reader == "read_manifest":
+                    refused = isinstance(outcome, FormatError) and str(outcome).startswith(f"{corrupted}: ")
+                else:
+                    code, out, err, written = outcome
+                    refused = code == 1 and out == "" and written is None and f"FormatError: {corrupted}: " in err
+                assert refused, (reader, key, outcome)
 
 
 class TestLogging:

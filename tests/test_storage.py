@@ -103,7 +103,18 @@ def test_manifest_missing_key_names_file_and_key(tmp_path):
     manifest = _small_dataset(tmp_path)
     del manifest["samples"]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match=r"manifest\.json: KeyError\('samples'\)"):
+    with pytest.raises(FormatError, match=r"manifest\.json: ConfigError\(\"missing required field 'samples'\"\)"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("value", [5, None, ["sample_00000.msl1"]])
+@pytest.mark.parametrize("key", ["lattice", "points"])
+def test_sample_file_name_that_is_no_string_names_manifest(tmp_path, key, value):
+    # Path / 5 would raise a TypeError that names no file.
+    manifest = _small_dataset(tmp_path)
+    manifest["samples"][1][key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=rf"manifest\.json: .*'samples\[1\]\.{key}' has an invalid value"):
         load_dataset(tmp_path)
 
 
@@ -111,8 +122,8 @@ def test_bad_sample_file_names_file(tmp_path):
     manifest = _small_dataset(tmp_path)
     points = tmp_path / manifest["samples"][1]["points"]
     good = points.read_text()
-    # Not a list of [x, y] pairs, or a point outside the 8x8 lattice.
-    for bad in ([1.0, 2.0, 3.0], [[1.0, 2.0], [3.0]], {"x": 1.0}, [[1.0, 99.0]]):
+    # Not a list of [x, y] pairs of numbers, or a point outside the 8x8 lattice.
+    for bad in ([1.0, 2.0, 3.0], [[1.0, 2.0], [3.0]], {"x": 1.0}, [[1.0, 99.0]], [[True, 2.0]], [[1.0, "2"]]):
         points.write_text(json.dumps(bad))
         with pytest.raises(FormatError, match=points.name):
             load_dataset(tmp_path)
