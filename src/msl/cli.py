@@ -7,13 +7,18 @@ numbers are confined to "timings" objects so runs can be compared
 byte-for-byte without them.
 
 A run directory, of `learn` or `loop`, holds the files of each solution
-(a learn run's at its top level, a loop run's in one candidate_NN/ per
-candidate that finished), results.json of kind "learn" or "loop", and
-manifest.json, written last: `test` and `report` refuse a run without it.
-A rerun touches the directory only after its pipeline has returned, so a
-rerun that fails or is refused leaves the earlier run whole. A loop run
-stores its selection once, as results.json's selected_index: `test`
-scores the solution in that candidate's dir.
+that finished, results.json and manifest.json. results.json is one record
+for both kinds: the kind, the config, selected_index, the timings and one
+row per candidate (index, decoder_params, validation_loss, error, the dir
+of its solution and its seconds). A learn run is one row, index 0, whose
+solution is at the top level (dir ""); a loop run's finished candidate i
+is in candidate_{i:02d}/, and a failed one has dir null. `test` scores the
+solution in the dir of the row at selected_index. A solution's encoder
+params, epoch losses and validation report are stored in its own files
+only. manifest.json, written last, lists the run's artifacts and the
+versions that wrote them: `test` and `report` refuse a run without it. A
+rerun touches the directory only after its pipeline has returned, so a
+rerun that fails or is refused leaves the earlier run whole.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .decoder import DecoderParams, DecoderSpace, decoder_grid
 from .encoder import EncoderParams, EncoderSpace, encoder_grid
 from .errors import ConfigError, MissingArtifactError
 from .inferrer import Architecture, TrainConfig, load_model, save_model
-from .pipeline import Predictor, learn, loop, test
+from .pipeline import LoopEntry, LoopResult, Predictor, learn, loop, test
 from .seeds import derive_seed
 from .storage import (
     fields, finite, floats, integer, load_dataset, optional, read_json, read_manifest, reading, require, save_dataset,
@@ -178,52 +183,54 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     write_file(path, text.getvalue().encode("utf-8"))
 
 
-def _write_run(run_dir: Path, cfg: ExperimentConfig, results: dict, solutions: dict, started: float) -> None:
+def _write_run(run_dir: Path, cfg: ExperimentConfig, kind: str, result: LoopResult, started: float) -> None:
     """Write a run directory from what a pipeline returned: delete the
-    earlier run's manifest.json, write each solution (`{subdirectory:
-    solution}`, "" for the top level), then results.json with the config
-    and timings added, and manifest.json last."""
+    earlier run's manifest.json, write each finished candidate's solution
+    (a learn run's at the top level, a loop run's in candidate_NN/), then
+    results.json with one row per candidate, and manifest.json last."""
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "manifest.json").unlink(missing_ok=True)
-    artifacts = ["results.json"]
-    for subdir, solution in solutions.items():
-        directory = run_dir / subdir
-        directory.mkdir(exist_ok=True)
-        save_model(directory, cfg.arch, cfg.train_cfg, solution.inferrer_params)
-        write_json(directory / "encoder_params.json", solution.encoder_params.to_json_dict())
-        _write_csv(
-            directory / "encoder_table.csv",
-            ["threshold", "min_separation", "mean_loss"],
-            ([p.threshold, p.min_separation, repr(loss)] for p, loss in solution.encoder_table),
-        )
-        _write_csv(
-            directory / "trace.csv",
-            ["epoch", "mean_loss"],
-            ([i, repr(float(value))] for i, value in enumerate(solution.epoch_losses)),
-        )
-        write_json(directory / "validation_report.json", solution.validation_report.to_json_dict())
-        artifacts += [(Path(subdir) / name).as_posix() for name in _SOLUTION_FILES]
-    timings = {"wall_clock_s": time.perf_counter() - started}
-    write_json(run_dir / "results.json", dict(results, config=cfg.raw, timings=timings))
+    artifacts, candidates = ["results.json"], []
+    for i, entry in enumerate(result.entries):
+        subdir, solution = None, entry.solution
+        if solution is not None:
+            subdir = "" if kind == "learn" else f"candidate_{i:02d}"
+            directory = run_dir / subdir
+            directory.mkdir(exist_ok=True)
+            save_model(directory, cfg.arch, cfg.train_cfg, solution.inferrer_params)
+            write_json(directory / "encoder_params.json", solution.encoder_params.to_json_dict())
+            _write_csv(
+                directory / "encoder_table.csv",
+                ["threshold", "min_separation", "mean_loss"],
+                ([p.threshold, p.min_separation, repr(loss)] for p, loss in solution.encoder_table),
+            )
+            _write_csv(
+                directory / "trace.csv",
+                ["epoch", "mean_loss"],
+                ([epoch, repr(float(value))] for epoch, value in enumerate(solution.epoch_losses)),
+            )
+            write_json(directory / "validation_report.json", solution.validation_report.to_json_dict())
+            artifacts += [(Path(subdir) / name).as_posix() for name in _SOLUTION_FILES]
+        candidates.append({
+            "index": i, "decoder_params": entry.decoder_params.to_json_dict(), "validation_loss": entry.validation_loss,
+            "error": entry.error, "dir": subdir, "timings": {"seconds": entry.seconds},
+        })
+    write_json(run_dir / "results.json", {
+        "kind": kind, "config": cfg.raw, "candidates": candidates, "selected_index": result.selected_index,
+        "timings": {"wall_clock_s": time.perf_counter() - started},
+    })
     for name in artifacts:
         if not (run_dir / name).exists():
             raise MissingArtifactError(f"artifact missing at run end: {run_dir / name}")
-    write_json(
-        run_dir / "manifest.json",
-        {
-            "config": cfg.raw,
-            "artifacts": sorted(artifacts),
-            "versions": {"msl": __version__, "numpy": np.__version__, "python": platform.python_version()},
-            "timings": timings,
-        },
-    )
+    versions = {"msl": __version__, "numpy": np.__version__, "python": platform.python_version()}
+    write_json(run_dir / "manifest.json", {"artifacts": sorted(artifacts), "versions": versions})
 
 
 def _read_run(run_dir: Path) -> tuple[ExperimentConfig, Path, list[tuple]]:
     """A finished run's stored config, its selected solution's directory and
     its candidate rows (selected, decoder params, validation_loss, error),
-    lowest validation loss first; a learn run is one candidate. A run is
-    finished once its manifest.json, written last, exists."""
+    lowest validation loss first. A run is finished once its manifest.json,
+    written last, exists."""
     for name in ("results.json", "manifest.json"):
         if not (run_dir / name).exists():
             raise MissingArtifactError(f"run directory has no {name}: {run_dir}")
@@ -234,17 +241,16 @@ def _read_run(run_dir: Path) -> tuple[ExperimentConfig, Path, list[tuple]]:
         if kind not in ("learn", "loop"):
             raise ValueError(f"kind {kind!r} is neither 'learn' nor 'loop'")
         cfg = parse_config(require(results, "config", dict))
-        if kind == "learn":
-            p = require(results, "decoder_params", DecoderParams.from_json_dict)
-            loss = section(results, "validation_report", loss=finite)["loss"]
-            selected_index, candidates = 0, [dict(index=0, dir="", decoder_params=p, validation_loss=loss, error=None)]
-        else:
-            selected_index = require(results, "selected_index", integer)
-            candidates = [
-                fields(c, f"candidates[{i}].", index=integer, dir=optional(string), validation_loss=optional(finite),
-                       error=optional(string), decoder_params=DecoderParams.from_json_dict)
-                for i, c in enumerate(require(results, "candidates", list))
-            ]
+        selected_index = require(results, "selected_index", integer)
+        candidates = [
+            fields(c, f"candidates[{i}].", index=integer, dir=optional(string), validation_loss=optional(finite),
+                   error=optional(string), decoder_params=DecoderParams.from_json_dict)
+            for i, c in enumerate(require(results, "candidates", list))
+        ]
+        indices = [c["index"] for c in candidates]
+        for i, index in enumerate(indices):
+            if indices.index(index) != i:
+                raise ValueError(f"candidates[{indices.index(index)}].index and candidates[{i}].index are both {index}")
         dirs = {c["index"]: c["dir"] for c in candidates}
         if dirs.get(selected_index) is None:
             raise ValueError(f"selected_index {selected_index} is not the index of a listed candidate with a dir")
@@ -274,18 +280,13 @@ def cmd_learn(args) -> int:
     train_split, val_split = _load_splits(cfg, args.data, "train", "val")
     run_dir = Path(args.out) if args.out else Path(cfg.out_dir) / "learn"
     log.info("learn: %s on %d train / %d val samples", decoder_params.to_json_dict(), train_split.n, val_split.n)
+    learn_started = time.perf_counter()
     solution = learn(
         train_split, val_split, decoder_params, cfg.arch, cfg.train_cfg,
         cfg.encoder_space, cfg.match_tolerance,
     )
-    results = {
-        "kind": "learn",
-        "decoder_params": solution.decoder_params.to_json_dict(),
-        "encoder_params": solution.encoder_params.to_json_dict(),
-        "validation_report": solution.validation_report.to_json_dict(),
-        "epoch_losses": [float(x) for x in solution.epoch_losses],
-    }
-    _write_run(run_dir, cfg, results, {"": solution}, started)
+    entry = LoopEntry(decoder_params, solution, None, time.perf_counter() - learn_started)
+    _write_run(run_dir, cfg, "learn", LoopResult((entry,), 0), started)
     print(f"learn: validation f1 {solution.validation_report.f1:.4f} -> {run_dir}")
     return 0
 
@@ -300,24 +301,7 @@ def cmd_loop(args) -> int:
         train_split, val_split, cfg.decoder_space, cfg.arch, cfg.train_cfg,
         cfg.encoder_space, cfg.match_tolerance, workers=args.workers,
     )
-    candidates, solutions = [], {}
-    for i, entry in enumerate(result.entries):
-        row = {
-            "index": i,
-            "decoder_params": entry.decoder_params.to_json_dict(),
-            "validation_loss": entry.validation_loss,
-            "error": entry.error,
-            "dir": None,
-            "timings": {"seconds": entry.seconds},
-        }
-        if entry.solution is not None:
-            row["dir"] = f"candidate_{i:02d}"
-            row["validation_report"] = entry.solution.validation_report.to_json_dict()
-            solutions[row["dir"]] = entry.solution
-        candidates.append(row)
-
-    results = {"kind": "loop", "candidates": candidates, "selected_index": result.selected_index}
-    _write_run(run_dir, cfg, results, solutions, started)
+    _write_run(run_dir, cfg, "loop", result, started)
     selected = result.entries[result.selected_index]
     print(
         f"loop: selected candidate {result.selected_index} "

@@ -133,10 +133,6 @@ class InferrerParams:
         object.__setattr__(self, "b2", dtype.type(self.b2))
 
     @property
-    def hidden_units(self) -> int:
-        return self.w1.shape[0]
-
-    @property
     def input_dim(self) -> int:
         return self.w1.shape[1]
 

@@ -48,10 +48,13 @@ class LearnedSolution(Predictor):
 @dataclass(frozen=True, eq=False)
 class LoopEntry:
     decoder_params: DecoderParams
-    validation_loss: float | None
     solution: LearnedSolution | None
     error: str | None
     seconds: float
+
+    @property
+    def validation_loss(self) -> float | None:
+        return None if self.solution is None else self.solution.validation_report.loss
 
     @property
     def failed(self) -> bool:
@@ -109,7 +112,6 @@ def _evaluate_candidate(args) -> LoopEntry:
         error = str(exc)
     return LoopEntry(
         decoder_params=candidate,
-        validation_loss=None if solution is None else solution.validation_report.loss,
         solution=solution,
         error=error,
         seconds=time.perf_counter() - start,

@@ -77,9 +77,9 @@ class TestLearn:
         root, cfg_path, cfg = workspace
         out = tmp_path / "careless_run"
         assert main(["learn", "--config", str(cfg_path), "--out", str(out), "--decoder", "careless"]) == 0
-        results = json.loads((out / "results.json").read_text())
-        assert results["decoder_params"] == {"variant": "careless"}
-        assert 0.0 <= results["validation_report"]["f1"] <= 1.0
+        (row,) = json.loads((out / "results.json").read_text())["candidates"]
+        assert row["decoder_params"] == {"variant": "careless"}
+        assert 0.0 <= json.loads((out / row["dir"] / "validation_report.json").read_text())["f1"] <= 1.0
 
     def test_two_runs_identical_minus_timings(self, workspace, tmp_path):
         root, cfg_path, cfg = workspace
@@ -116,7 +116,7 @@ class TestLearn:
         out = tmp_path / "sigma2"
         assert main(["learn", "--config", str(cfg_path), "--out", str(out), "--decoder", "careful:2"]) == 0
         results = json.loads((out / "results.json").read_text())
-        assert results["decoder_params"] == {"variant": "careful", "sigma": 2.0, "radius": 6.0}
+        assert results["candidates"][0]["decoder_params"] == {"variant": "careful", "sigma": 2.0, "radius": 6.0}
 
 
 class TestLoop:
@@ -152,6 +152,26 @@ class TestLoop:
             err = capsys.readouterr().err
             assert "config error" in err and "--workers" in err
             assert not out.exists()
+
+
+class TestRunRecord:
+    def test_learn_and_loop_write_one_schema(self, workspace, tmp_path):
+        # A learn run is stored as a loop of one candidate whose solution is at the top level.
+        root, cfg_path, cfg = workspace
+        learned, looped = tmp_path / "learn", Path(cfg["out_dir"]) / "loop"
+        assert main(["learn", "--config", str(cfg_path), "--out", str(learned)]) == 0
+        records = {run: json.loads((run / "results.json").read_text()) for run in (learned, looped)}
+        for run, record in records.items():
+            assert sorted(record) == ["candidates", "config", "kind", "selected_index", "timings"]
+            for row in record["candidates"]:
+                assert sorted(row) == ["decoder_params", "dir", "error", "index", "timings", "validation_loss"]
+                stored = json.loads((run / row["dir"] / "validation_report.json").read_text())
+                assert row["validation_loss"] == stored["loss"]
+            assert sorted(json.loads((run / "manifest.json").read_text())) == ["artifacts", "versions"]
+        assert [(row["index"], row["dir"]) for row in records[learned]["candidates"]] == [(0, "")]
+        assert [(row["index"], row["dir"]) for row in records[looped]["candidates"]] == [
+            (0, "candidate_00"), (1, "candidate_01"),
+        ]
 
 
 def _loop_results_edit_is_refused(workspace, run: Path, capsys, edit) -> str:
@@ -351,8 +371,8 @@ class TestTest:
             ("model.json", edited(lambda o: o["train_config"].update(epochs="3", learning_rate=True)), ["test"]),
             ("results.json", truncated, ["test", "report"]),
             ("results.json", edited(lambda o: o.pop("kind")), ["test", "report"]),
-            ("results.json", edited(lambda o: o["decoder_params"].pop("variant")), ["report"]),
-            ("results.json", edited(lambda o: o["decoder_params"].update(sigma="abc")), ["report"]),
+            ("results.json", edited(lambda o: o["candidates"][0]["decoder_params"].pop("variant")), ["report"]),
+            ("results.json", edited(lambda o: o["candidates"][0]["decoder_params"].update(sigma="abc")), ["report"]),
             # The stored config is part of the run, not a config the user gave.
             ("results.json", edited(lambda o: o["config"]["inferrer"].pop("epochs")), ["test", "report"]),
             ("results.json", edited(lambda o: o["config"]["inferrer"].update(epochs=0)), ["test", "report"]),
@@ -375,7 +395,7 @@ class TestTest:
             run = tmp_path / f"case{case}"
             shutil.copytree(learned, run)
             results = json.loads((run / "results.json").read_text())
-            results["decoder_params"] = value
+            results["candidates"][0]["decoder_params"] = value
             (run / "results.json").write_text(json.dumps(results))
             capsys.readouterr()
             for command in ("test", "report"):
@@ -391,9 +411,11 @@ class TestTest:
     @pytest.mark.parametrize("key, value", [
         ("error", 5), ("decoder_params", {"variant": 7}), ("decoder_params", {"variant": "careless", "sigma": 1.5}),
         ("validation_loss", "0.5"), ("index", "0"), ("dir", 3),
+        # Candidate 1's index: two rows would be starred, and `test` would score either.
+        ("index", 1),
     ], ids=repr)
     def test_loop_candidate_field_of_another_type_is_a_format_error(self, workspace, tmp_path, capsys, key, value):
-        # Each field is converted before the rows are sorted, and none is printed unchecked.
+        # Each field is converted and checked before the rows are sorted, and none is printed unchecked.
         edit = lambda results: results["candidates"][0].update({key: value})
         assert f"candidates[0].{key}" in _loop_results_edit_is_refused(workspace, tmp_path / "run", capsys, edit)
 
