@@ -12,13 +12,14 @@ for both kinds: the kind, the config, selected_index, the timings and one
 row per candidate (index, decoder_params, validation_loss, error, the dir
 of its solution and its seconds). A learn run is one row, index 0, whose
 solution is at the top level (dir ""); a loop run's finished candidate i
-is in candidate_{i:02d}/, and a failed one has dir null. `test` scores the
-solution in the dir of the row at selected_index. A solution's encoder
-params, epoch losses and validation report are stored in its own files
-only. manifest.json, written last, lists the run's artifacts and the
-versions that wrote them: `test` and `report` refuse a run without it. A
-rerun touches the directory only after its pipeline has returned, so a
-rerun that fails or is refused leaves the earlier run whole.
+is in candidate_{i:02d}/, and a failed one has dir null. selected_index
+must be the earliest index of lowest validation loss, and `test` scores
+the solution in the dir of its row. A solution's encoder params, epoch
+losses and validation report are stored in its own files only.
+manifest.json, written last, lists the run's artifacts and the versions
+that wrote them: `test` and `report` refuse a run without it. A rerun
+touches the directory only after its pipeline has returned, so a rerun
+that fails or is refused leaves the earlier run whole.
 """
 
 from __future__ import annotations
@@ -254,7 +255,10 @@ def _read_run(run_dir: Path) -> tuple[ExperimentConfig, Path, list[tuple]]:
         dirs = {c["index"]: c["dir"] for c in candidates}
         if dirs.get(selected_index) is None:
             raise ValueError(f"selected_index {selected_index} is not the index of a listed candidate with a dir")
-    candidates.sort(key=lambda c: (c["validation_loss"] is None, c["validation_loss"], c["index"]))
+        candidates.sort(key=lambda c: (c["validation_loss"] is None, c["validation_loss"], c["index"]))
+        best = candidates[0]
+        if best["validation_loss"] is None or best["index"] != selected_index:
+            raise ValueError(f"selected_index {selected_index} is not {best['index']}, the earliest lowest validation loss")
     rows = [(c["index"] == selected_index, c["decoder_params"], c["validation_loss"], c["error"]) for c in candidates]
     return cfg, run_dir / dirs[selected_index], rows
 

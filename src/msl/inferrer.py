@@ -25,19 +25,19 @@ and `infer` make one per call, so they run the same code.
 `infer_maps` and `train` run on two threads, the caller and one worker,
 through one scheduler, `_in_order`: the caller reads the jobs' results in
 order, and runs the next job the worker has not started whenever it
-would wait. `infer_maps`' jobs are pieces of lattices, so `pipeline.test`
-encodes while the worker infers; `train`'s are minibatch gathers, so on
-a small model, whose step is quicker than its gather, the caller gathers
-too. Within a piece, consecutive small lattices of one shape are
-inferred as one stack (`_stacks`), with one pad, one patch copy and one
-`_forward` for the stack, so a small map does not pay a dozen numpy
-calls of its own. Each thread infers in a workspace of its own, and
-`_forward` multiplies each stacked lattice's rows as a matrix of their
-own, so each map is `infer`'s bit for bit. Jobs run numpy alone, since
-a tracer may rebind msl names to single-threaded span recorders. Each
-thread is meant to use one BLAS thread: importing msl sets
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless
-they are set, which takes effect only if msl is imported before numpy.
+would wait. `infer_maps`' jobs are stacks of lattices (`_stacks`), so
+`pipeline.test` encodes while the worker infers; `train`'s are minibatch
+gathers, so on a small model, whose step is quicker than its gather, the
+caller gathers too. A stack is a run of consecutive lattices of one
+shape, inferred with one pad, one patch copy and one `_forward`, so a
+small map does not pay a dozen numpy calls of its own. Each thread
+infers in a workspace of its own, and `_forward` multiplies each stacked
+lattice's rows as a matrix of their own, so each map is `infer`'s bit
+for bit. Jobs run numpy alone, since a tracer may rebind msl names to
+single-threaded span recorders. Each thread is meant to use one BLAS
+thread: importing msl sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 unless they are set, which takes effect only if
+msl is imported before numpy.
 """
 
 from __future__ import annotations
@@ -64,22 +64,16 @@ from .storage import finite, integer, read_json, read_msl1, reading, section, wr
 # the step's own included, are held at once.
 _PREFETCH_BYTES = 4 << 20
 
-# Pixels of lattices that `infer_maps` hands out at a time, each piece
-# one job of `_in_order` and a few stacks (`_STACK_PIXELS`). Each piece
-# costs a submit and the worker's queue get, which small maps feel: with
-# one lattice a piece, `pipeline.test` on 100 maps of 32x32 ran about 10%
-# slower (1763 against 1967 image/s, and faster in only 19 of 168
-# alternating pairs), in one process on a shared two-core x86-64 machine.
-_PIECE_PIXELS = 1 << 15
-
 # Pixels of consecutive same-shape lattices that `infer_maps` infers as
-# one stack; a lattice of this many pixels or more, such as a 64x64 map,
-# is inferred alone. With stacks of four, `pipeline.test` on 100 maps of
-# 32x32 took a median of 34.5 ms against 55.3 ms with every map alone
-# (faster in 40 of 40 alternating pairs), in one process on a shared
-# two-core x86-64 machine. Bounds of 8192 and 16384 pixels took 31.1 and
-# 30.7 ms, but would stack 64x64 maps too.
-_STACK_PIXELS = 1 << 12
+# one stack, each stack one job of `_in_order`; a lattice of more pixels
+# is a stack of its own. 32x32 maps go eight to a stack, 64x64 maps two.
+# Against pieces of 32768 pixels cut into stacks of at most 4096, this
+# bound took `pipeline.test` on 100 maps of 32x32 (c = 2, 8 hidden units)
+# from a median of 15.1 to 12.4 ms (faster in 8 of 8 alternating process
+# pairs), and on 100 dense scenes of 64x64 (c = 4, 32 hidden units) from
+# 86.5 to 79.3 ms (6 of 8), on a shared two-core x86-64 machine. A bound
+# of 4096 makes 25 jobs of the 32x32 maps instead of 13, and took 14.7 ms.
+_STACK_PIXELS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -285,27 +279,12 @@ def infer(lattice, params: InferrerParams) -> np.ndarray:
     return _predict(grid_values(lattice), c, weights, _Workspace())
 
 
-def _pieces(values: list[np.ndarray]) -> list[range]:
-    """Consecutive runs of lattice indices, each closed once it holds at
-    least `_PIECE_PIXELS` pixels."""
-    pieces, start, pixels = [], 0, 0
-    for i, v in enumerate(values):
-        pixels += v.size
-        if pixels >= _PIECE_PIXELS:
-            pieces.append(range(start, i + 1))
-            start, pixels = i + 1, 0
-    if start < len(values):
-        pieces.append(range(start, len(values)))
-    return pieces
-
-
-def _stacks(values: list[np.ndarray], piece: range) -> list[range]:
-    """`piece` cut into runs of consecutive lattices of one shape, each
-    holding at most `_STACK_PIXELS` pixels, or a single lattice of more."""
+def _stacks(values: list[np.ndarray]) -> list[range]:
+    """Runs of consecutive lattices of one shape, each holding at most
+    `_STACK_PIXELS` pixels, or a single lattice of more."""
     stacks = []
-    for i in piece:
-        same_shape = bool(stacks) and values[i].shape == values[i - 1].shape
-        if same_shape and (len(stacks[-1]) + 1) * values[i].size <= _STACK_PIXELS:
+    for i, v in enumerate(values):
+        if stacks and v.shape == values[i - 1].shape and (len(stacks[-1]) + 1) * v.size <= _STACK_PIXELS:
             stacks[-1] = range(stacks[-1].start, i + 1)
         else:
             stacks.append(range(i, i + 1))
@@ -354,27 +333,20 @@ def infer_maps(lattices, params: InferrerParams, then=None) -> list:
     `then(map)` of every map instead. Both come in input order.
 
     Every lattice's shape is checked (`grid_values`) and the weights
-    upcast on the calling thread first. Then every piece (`_pieces`) is
-    submitted to `_in_order` at once, and `then` runs on the calling
-    thread as each piece's maps are read. A piece is inferred stack by
-    stack (`_stacks`): a run of one lattice in its own 2-D call, a longer
-    run as one stack, whose maps are views of the stack's.
+    upcast on the calling thread first. Then every stack (`_stacks`) is
+    submitted to `_in_order` at once, as one `_predict` call, and `then`
+    runs on the calling thread as each stack's maps are read. The maps
+    are views of their stack's.
     """
     c, weights = _weights(params)
     values = [grid_values(lattice) for lattice in lattices]
-    pieces = _pieces(values)
+    stacks = _stacks(values)
 
-    def run(piece: range, ws: _Workspace) -> list[np.ndarray]:
-        maps = []
-        for stack in _stacks(values, piece):
-            if len(stack) == 1:
-                maps.append(_predict(values[stack.start], c, weights, ws))
-            else:
-                maps.extend(_predict(np.stack(values[stack.start : stack.stop]), c, weights, ws))
-        return maps
+    def run(stack: range, ws: _Workspace) -> np.ndarray:
+        return _predict(np.stack(values[stack.start : stack.stop]), c, weights, ws)
 
-    with closing(_in_order([partial(run, piece) for piece in pieces], len(pieces))) as results:
-        return [m if then is None else then(m) for piece_maps in results for m in piece_maps]
+    with closing(_in_order([partial(run, stack) for stack in stacks], len(stacks))) as results:
+        return [m if then is None else then(m) for maps in results for m in maps]
 
 
 def gradient(

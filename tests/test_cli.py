@@ -404,9 +404,17 @@ class TestTest:
             assert not (run / "test_report.json").exists() and not (run / "report.csv").exists()
 
     def test_loop_selected_index_of_no_listed_candidate_is_a_format_error(self, workspace, tmp_path, capsys):
-        for case, value in enumerate([None, "abc", -1, 2, "1", [], {}]):
-            edit = lambda results: results.update(selected_index=value)
-            _loop_results_edit_is_refused(workspace, tmp_path / f"case{case}", capsys, edit)
+        def other_finished(results):
+            # A listed candidate with a dir, but not the argmin: `report`
+            # would star it and `test` score it.
+            (other,) = [c for c in results["candidates"] if c["index"] != results["selected_index"]]
+            assert other["dir"] is not None
+            return other["index"]
+
+        for case, value in enumerate([None, "abc", -1, 2, "1", [], {}, other_finished]):
+            edit = lambda results: results.update(selected_index=value(results) if callable(value) else value)
+            err = _loop_results_edit_is_refused(workspace, tmp_path / f"case{case}", capsys, edit)
+        assert "the earliest lowest validation loss" in err
 
     @pytest.mark.parametrize("key, value", [
         ("error", 5), ("decoder_params", {"variant": 7}), ("decoder_params", {"variant": "careless", "sigma": 1.5}),

@@ -152,6 +152,13 @@ def lattices_of(values: np.ndarray) -> list[np.ndarray]:
     return list(values.reshape((-1,) + values.shape[-2:]))
 
 
+# Runs of same-shape lattices around the default stack bound of 8192 pixels.
+STACKED_SHAPES = (
+    [(32, 32)] * 9 + [(24, 40)] + [(32, 32)] * 3 + [(16, 16)] * 33 + [(64, 64)] * 3 + [(91, 91)] * 2 + [(65, 70)]
+    + [(5, 7)] * 9 + [(1, 1)] * 3 + [(13, 11)] * 4
+)
+
+
 class TestInferMaps:
     @staticmethod
     def lattices(n, rng):
@@ -162,12 +169,11 @@ class TestInferMaps:
     @staticmethod
     def use_layout(monkeypatch, layout, n, rng):
         """n lattices cut as `layout` says: "single", one lattice of its own
-        shape a piece, or "stacked", lattices of one 6x8 shape in pieces of
-        four, each two stacks of two. Returns the lattices."""
+        shape a stack, or "stacked", lattices of one 6x8 shape in stacks of
+        two. Returns the lattices."""
         if layout == "single":
-            monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 1)
+            monkeypatch.setattr(inferrer, "_STACK_PIXELS", 1)
             return TestInferMaps.lattices(n, rng)
-        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 4 * 48)
         monkeypatch.setattr(inferrer, "_STACK_PIXELS", 2 * 48)
         return [ImageLattice(rng.uniform(0, 1, size=(6, 8))) for _ in range(n)]
 
@@ -209,12 +215,11 @@ class TestInferMaps:
 
         def body():
             before = threading.active_count()
-            # One lattice at the default piece size is one piece, which the
-            # worker is started for too.
+            # One lattice is one stack, which the worker is started for too.
             inferrer.infer_maps(lattices[:1], params)
             assert threading.active_count() == before
-            # One lattice a piece, so that the worker thread takes part.
-            monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 1)
+            # Lattices of six shapes are six stacks, so that the worker
+            # thread takes part.
             inferrer.infer_maps(lattices, params)
             assert threading.active_count() == before
             with pytest.raises(ShapeError):
@@ -248,7 +253,7 @@ class TestInferMaps:
         run_bounded(body)
 
     @pytest.mark.parametrize("layout", ["single", "stacked"])
-    def test_worker_failure_on_its_first_piece_reaches_the_caller(self, monkeypatch, layout):
+    def test_worker_failure_on_its_first_stack_reaches_the_caller(self, monkeypatch, layout):
         rng = np.random.default_rng(46)
         params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
         lattices = self.use_layout(monkeypatch, layout, 12, rng)
@@ -260,16 +265,16 @@ class TestInferMaps:
 
             def failing(values, c, weights, ws):
                 if threading.current_thread() is caller:
-                    # Hold the caller's first piece until the worker has
+                    # Hold the caller's first stack until the worker has
                     # failed on one of its own.
                     worker_failed.wait(5.0)
                     return predict(values, c, weights, ws)
                 worker_failed.set()
-                raise MemoryError("out of memory on the worker's first piece")
+                raise MemoryError("out of memory on the worker's first stack")
 
             monkeypatch.setattr(inferrer, "_predict", failing)
             before = threading.active_count()
-            with pytest.raises(MemoryError, match="worker's first piece"):
+            with pytest.raises(MemoryError, match="worker's first stack"):
                 inferrer.infer_maps(lattices, params, then=lambda m: m.sum())
             assert worker_failed.is_set()
             assert threading.active_count() == before
@@ -279,9 +284,9 @@ class TestInferMaps:
     @pytest.mark.parametrize("layout", ["single", "stacked"])
     def test_caller_failure_stops_the_worker(self, monkeypatch, layout):
         # `then` fails on the first map while every `_predict` call takes
-        # 5 ms. The worker starts no further piece after that, so a handful
-        # of the 40 pieces are started (3 to 5 in 40 tries with one lattice
-        # a piece), not all 40: fewer than a quarter of the calls.
+        # 5 ms. The worker starts no further stack after that, so a handful
+        # of the stacks are started (3 to 5 of 40 in 40 tries with one
+        # lattice a stack), not all of them: fewer than a quarter.
         rng = np.random.default_rng(50)
         params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
         lattices = self.use_layout(monkeypatch, layout, 40 if layout == "single" else 160, rng)
@@ -308,10 +313,10 @@ class TestInferMaps:
     @pytest.mark.parametrize("switch_interval", [None, 1e-6])
     @pytest.mark.parametrize("layout", ["single", "stacked"])
     def test_every_lattice_is_inferred_exactly_once(self, monkeypatch, layout, switch_interval):
-        # Small pieces and a slow worker, so that the caller claims several
-        # pieces ahead of the worker while it waits. A claimed piece's
+        # Small stacks and a slow worker, so that the caller claims several
+        # stacks ahead of the worker while it waits. A claimed stack's
         # future is cancelled, and cancelling it again succeeds again: no
-        # piece may run twice, and no lattice be inferred twice or skipped
+        # stack may run twice, and no lattice be inferred twice or skipped
         # in a stack.
         rng = np.random.default_rng(51)
         params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
@@ -341,20 +346,20 @@ class TestInferMaps:
         assert [m.tobytes() for m in maps] == expected
 
     @pytest.mark.parametrize("switch_interval", [None, 1e-6])
-    @pytest.mark.parametrize("piece_pixels", [None, 1, 150])
+    @pytest.mark.parametrize("stack_pixels", [None, 1, 150])
     @pytest.mark.parametrize("n", [1, 3, 9])
     def test_then_runs_once_per_map_in_input_order_on_the_calling_thread(
-        self, monkeypatch, piece_pixels, n, switch_interval
+        self, monkeypatch, stack_pixels, n, switch_interval
     ):
-        # The default piece holds all n lattices; 1 and 150 pixels make
-        # pieces of one and of about two lattices. Thread switches every
-        # microsecond interleave the two threads' claims at many more points
-        # than the default 5 ms.
-        if piece_pixels is not None:
-            monkeypatch.setattr(inferrer, "_PIECE_PIXELS", piece_pixels)
+        # Lattices of one 6x10 shape: the default stack holds all n; 1 and
+        # 150 pixels make stacks of one and of two lattices. Thread switches
+        # every microsecond interleave the two threads' claims at many more
+        # points than the default 5 ms.
+        if stack_pixels is not None:
+            monkeypatch.setattr(inferrer, "_STACK_PIXELS", stack_pixels)
         rng = np.random.default_rng(47 + n)
         params = random_params(Architecture(context_radius=2, hidden_units=5), rng)
-        lattices = self.lattices(n, rng)
+        lattices = [ImageLattice(rng.uniform(0, 1, size=(6, 10))) for _ in range(n)]
         expected = [infer(l, params) for l in lattices]
 
         def body():
@@ -381,22 +386,22 @@ class TestInferMaps:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_raw_maps_die_once_then_has_consumed_their_piece(self, monkeypatch):
-        # Pieces of about two lattices. When `then` first sees a map of
-        # piece k + 1, no raw map of pieces 0..k may still be held.
-        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 150)
+    def test_raw_maps_die_once_then_has_consumed_their_stack(self, monkeypatch):
+        # Stacks of two lattices. When `then` first sees a map of stack
+        # k + 1, no raw map of stacks 0..k may still be held.
+        monkeypatch.setattr(inferrer, "_STACK_PIXELS", 150)
         rng = np.random.default_rng(49)
         params = random_params(Architecture(context_radius=1, hidden_units=3), rng)
-        lattices = self.lattices(9, rng)
-        pieces = inferrer._pieces([l.values for l in lattices])
-        assert len(pieces) > 2
-        piece_of = {i: k for k, piece in enumerate(pieces) for i in piece}
+        lattices = [ImageLattice(rng.uniform(0, 1, size=(6, 10))) for _ in range(9)]
+        stacks = inferrer._stacks([l.values for l in lattices])
+        assert len(stacks) > 2
+        stack_of = {i: k for k, stack in enumerate(stacks) for i in stack}
         seen = []
 
         def then(m):
-            k = piece_of[len(seen)]
-            if seen and piece_of[len(seen) - 1] != k:
-                assert [ref() for ref, j in seen if j < k] == [None] * pieces[k].start
+            k = stack_of[len(seen)]
+            if seen and stack_of[len(seen) - 1] != k:
+                assert [ref() for ref, j in seen if j < k] == [None] * stacks[k].start
             seen.append((weakref.ref(m), k))
             return m.shape
 
@@ -404,41 +409,31 @@ class TestInferMaps:
         assert shapes == [l.values.shape for l in lattices]
         assert len(seen) == len(lattices)
 
-    def test_pieces_hold_about_a_fixed_number_of_pixels(self, monkeypatch):
-        monkeypatch.setattr(inferrer, "_PIECE_PIXELS", 100)
-        values = [np.zeros(shape) for shape in [(5, 5)] * 5 + [(20, 20), (3, 3), (1, 1)]]
-        assert inferrer._pieces(values) == [range(0, 4), range(4, 6), range(6, 8)]
-        assert inferrer._pieces([]) == []
-
     def test_stacks_are_runs_of_one_shape_within_the_bound(self):
-        assert inferrer._STACK_PIXELS == 4096
-        shapes = [(32, 32)] * 5 + [(24, 40)] + [(32, 32)] * 3 + [(16, 16)] * 17 + [(64, 64)] * 2 + [(65, 70)]
-        values = [np.zeros(shape) for shape in shapes]
-        # Four 32x32 lattices are exactly 4096 pixels, and a fifth would be
-        # over; sixteen 16x16 likewise. A lattice of 4096 pixels or more is
-        # a stack of its own.
-        assert inferrer._stacks(values, range(len(values))) == [
-            range(0, 4), range(4, 5), range(5, 6), range(6, 9), range(9, 25), range(25, 26),
-            range(26, 27), range(27, 28), range(28, 29),
+        assert inferrer._STACK_PIXELS == 8192
+        values = [np.zeros(shape) for shape in STACKED_SHAPES]
+        # Eight 32x32 lattices are exactly 8192 pixels, and a ninth would be
+        # over; thirty-two 16x16 and two 64x64 likewise. A lattice of more
+        # than 8192 pixels is a stack of its own.
+        assert inferrer._stacks(values) == [
+            range(0, 8), range(8, 9), range(9, 10), range(10, 13), range(13, 45), range(45, 46),
+            range(46, 48), range(48, 49), range(49, 50), range(50, 51), range(51, 52),
+            range(52, 61), range(61, 64), range(64, 68),
         ]
-        # Stacks never cross a piece's ends.
-        assert inferrer._stacks(values, range(2, 12)) == [range(2, 5), range(5, 6), range(6, 9), range(9, 12)]
-        assert inferrer._stacks(values, range(3, 3)) == []
+        assert inferrer._stacks([]) == []
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_stacked_maps_equal_infer_bit_for_bit_in_order(self, monkeypatch, dtype):
-        # The default bounds: mixed shapes in one piece, stacks of exactly
-        # 4096 pixels and just over, lattices of 4096 pixels and more, and
-        # shapes whose pixel counts are no multiple of BLAS's row blocks,
-        # whose rounding a single matrix of every stacked row would change.
+    @pytest.mark.parametrize("radius, units", [(2, 8), (4, 32)])
+    def test_stacked_maps_equal_infer_bit_for_bit_in_order(self, monkeypatch, dtype, radius, units):
+        # The default bound: mixed shapes, stacks of exactly 8192 pixels and
+        # just over, lattices of more than 8192 pixels, and shapes whose
+        # pixel counts are no multiple of BLAS's row blocks, whose rounding a
+        # single matrix of every stacked row would change. (4, 32) is the
+        # benchmark's architecture, which stacks its 64x64 maps in pairs.
         rng = np.random.default_rng(52)
-        wide = random_params(Architecture(context_radius=2, hidden_units=8), rng)
+        wide = random_params(Architecture(context_radius=radius, hidden_units=units), rng)
         params = InferrerParams(w1=wide.w1.astype(dtype), b1=wide.b1.astype(dtype), w2=wide.w2.astype(dtype), b2=wide.b2)
-        shapes = (
-            [(32, 32)] * 5 + [(24, 40)] + [(32, 32)] * 3 + [(16, 16)] * 17 + [(64, 64)] * 2 + [(65, 70)]
-            + [(5, 7)] * 9 + [(1, 1)] * 3 + [(13, 11)] * 4
-        )
-        lattices = [ImageLattice(rng.uniform(0, 1, size=shape)) for shape in shapes]
+        lattices = [ImageLattice(rng.uniform(0, 1, size=shape)) for shape in STACKED_SHAPES]
         expected = [infer(l, params).tobytes() for l in lattices]
         predict = inferrer._predict
         calls = []
@@ -450,12 +445,12 @@ class TestInferMaps:
         monkeypatch.setattr(inferrer, "_predict", recorded)
         maps = run_bounded(lambda: inferrer.infer_maps(lattices, params))
         assert [m.tobytes() for m in maps] == expected
-        assert [m.shape for m in maps] == shapes
+        assert [m.shape for m in maps] == STACKED_SHAPES
         # Each stack was one call; the calls of the two threads may interleave.
-        assert sorted(calls) == sorted(
-            [(4, 32, 32), (32, 32), (24, 40), (3, 32, 32), (16, 16, 16), (16, 16), (64, 64), (64, 64), (65, 70)]
-            + [(9, 5, 7), (3, 1, 1), (4, 13, 11)]
-        )
+        assert sorted(calls) == sorted([
+            (8, 32, 32), (1, 32, 32), (1, 24, 40), (3, 32, 32), (32, 16, 16), (1, 16, 16), (2, 64, 64),
+            (1, 64, 64), (1, 91, 91), (1, 91, 91), (1, 65, 70), (9, 5, 7), (3, 1, 1), (4, 13, 11),
+        ])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -464,19 +459,18 @@ class TestInferMaps:
         ),
         radius=st.integers(0, 3),
         stack_pixels=st.sampled_from([1, 40, 200, 4096]),
-        piece_pixels=st.sampled_from([1, 100, 1 << 15]),
     )
-    def test_any_stacking_equals_infer_bit_for_bit(self, runs, radius, stack_pixels, piece_pixels):
-        # Runs of (count, height, width), with any stack and piece bound.
+    def test_any_stacking_equals_infer_bit_for_bit(self, runs, radius, stack_pixels):
+        # Runs of (count, height, width), with any stack bound.
         rng = np.random.default_rng(53)
         params = random_params(Architecture(context_radius=radius, hidden_units=7), rng)
         lattices = [rng.uniform(0, 1, size=(h, w)) for count, h, w in runs for _ in range(count)]
-        saved = inferrer._STACK_PIXELS, inferrer._PIECE_PIXELS
-        inferrer._STACK_PIXELS, inferrer._PIECE_PIXELS = stack_pixels, piece_pixels
+        saved = inferrer._STACK_PIXELS
+        inferrer._STACK_PIXELS = stack_pixels
         try:
             maps = run_bounded(lambda: inferrer.infer_maps(lattices, params))
         finally:
-            inferrer._STACK_PIXELS, inferrer._PIECE_PIXELS = saved
+            inferrer._STACK_PIXELS = saved
         assert [m.tobytes() for m in maps] == [infer(l, params).tobytes() for l in lattices]
 
 
